@@ -24,7 +24,8 @@ with sketches (the default) and one with ``sketches=False`` — the latter is
 exactly the pre-refactor execution path.  Answers are asserted bit-for-bit
 identical and the sketch-backed cold path must clear >= 10x the no-sketch
 QPS; a third row charges the one-time registration cost to the sketch side
-to show the amortisation is immediate.
+to show the amortisation is immediate, and a fourth serves the same queries
+through two engine workers.  Every row reports minor page faults per query.
 
 A fourth experiment (``SERVICE_FRONTENDS``) compares the two HTTP
 front-ends on that cached fast path over real sockets: the same keep-alive
@@ -42,11 +43,15 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing as mp
+import resource
 import time
+from typing import Optional
 
 import numpy as np
 
 from repro.bench import format_table, render_experiment_header
+from repro.engine import EnginePool
 from repro.service import (
     AnswerCache,
     AsyncServerThread,
@@ -242,22 +247,45 @@ def test_estimator_registry_throughput(run_once, reporter):
 
 COLD_N = 100_000
 COLD_SPEEDUP_FLOOR = 10.0
+COLD_ENGINE_WORKERS = 2
 
 
-def _cold_requests() -> list:
+def _cold_requests(epsilon_offset: float = 0.0) -> list:
     """A dwork-lei-heavy cold mix: every kind re-sorted per query pre-refactor."""
     requests = []
     for index in range(2):
-        requests.append(QueryRequest("d", Query("iqr", 0.31 + 0.01 * index)))
+        epsilon = 0.31 + 0.01 * index + epsilon_offset
+        requests.append(QueryRequest("d", Query("iqr", epsilon)))
     for index in range(2):
+        epsilon = 0.41 + 0.01 * index + epsilon_offset
         requests.append(
-            QueryRequest("d", Query("quantile", 0.41 + 0.01 * index, levels=(0.5, 0.9)))
+            QueryRequest("d", Query("quantile", epsilon, levels=(0.5, 0.9)))
         )
     for index in range(8):
-        requests.append(
-            QueryRequest("d", Query("baseline.dwork_lei_iqr", 0.51 + 0.01 * index))
-        )
+        epsilon = 0.51 + 0.01 * index + epsilon_offset
+        requests.append(QueryRequest("d", Query("baseline.dwork_lei_iqr", epsilon)))
     return requests
+
+
+def _minor_faults(pids=()) -> Optional[int]:
+    """Minor page faults so far of this process plus the live ``pids``.
+
+    Children are read from ``/proc/<pid>/stat``; None where it is missing.
+    """
+    total = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for pid in pids:
+        try:
+            with open(f"/proc/{pid}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            return None
+        # Fields after the parenthesised command name; minflt is field 10.
+        total += int(stat.rsplit(")", 1)[1].split()[7])
+    return total
+
+
+def _per_query(before: Optional[int], after: Optional[int], count: int):
+    return None if before is None or after is None else (after - before) / count
 
 
 def test_cold_path_sketch_speedup(run_once, reporter):
@@ -268,46 +296,76 @@ def test_cold_path_sketch_speedup(run_once, reporter):
     path before the :class:`repro.dataview.DatasetView` refactor.  The default
     registration materialises the declared sketches once; the per-query seed
     derivation is untouched, so the answers must match bit for bit and the
-    only difference is wall-clock.
+    only difference is wall-clock.  A fourth row serves the same queries from
+    a service with two engine workers, the way ``repro serve`` does (warmed
+    with other queries first, so the workers are forked and settled), and
+    the last column counts minor page faults per query, workers included.
     """
 
     def run():
         data = np.random.default_rng(SEED).normal(250.0, 40.0, size=COLD_N)
         requests = _cold_requests()
 
+        count = len(requests)
+
         plain = QueryService(seed=SEED, cache=AnswerCache(maxsize=0))
         plain.register("d", data, TOTAL_BUDGET, sketches=False)
+        faults = _minor_faults()
         start = time.perf_counter()
         plain_answers = plain.submit_many(requests)
         plain_seconds = time.perf_counter() - start
+        plain_faults = _per_query(faults, _minor_faults(), count)
 
         sketched = QueryService(seed=SEED, cache=AnswerCache(maxsize=0))
+        registration_faults = _minor_faults()
         start = time.perf_counter()
         sketched.register("d", data, TOTAL_BUDGET)
         register_seconds = time.perf_counter() - start
+        faults = _minor_faults()
         start = time.perf_counter()
         sketched_answers = sketched.submit_many(requests)
         sketched_seconds = time.perf_counter() - start
+        after = _minor_faults()
+        sketched_faults = _per_query(faults, after, count)
+        amortised_faults = _per_query(registration_faults, after, count)
 
-        # The refactor's contract: sketches change wall-clock only.
+        others = {child.pid for child in mp.active_children()}
+        with EnginePool(COLD_ENGINE_WORKERS) as pool:
+            pooled = QueryService(pool=pool, seed=SEED, cache=AnswerCache(maxsize=0))
+            pooled.register("d", data, TOTAL_BUDGET, share=True)
+            pooled.submit_many(_cold_requests(epsilon_offset=0.2))
+            pids = [c.pid for c in mp.active_children() if c.pid not in others]
+            faults = _minor_faults(pids)
+            start = time.perf_counter()
+            pooled_answers = pooled.submit_many(requests)
+            pooled_seconds = time.perf_counter() - start
+            pooled_faults = _per_query(faults, _minor_faults(pids), count)
+            pooled.registry.close()
+
+        # The refactor's contract: sketches (and workers) change wall-clock
+        # only.
         assert all(a.ok for a in plain_answers)
-        assert [
-            (a.key, a.value, a.epsilon_charged) for a in plain_answers
-        ] == [(a.key, a.value, a.epsilon_charged) for a in sketched_answers]
+        expected = [(a.key, a.value, a.epsilon_charged) for a in plain_answers]
+        for answers in (sketched_answers, pooled_answers):
+            assert [(a.key, a.value, a.epsilon_charged) for a in answers] == expected
 
-        count = len(requests)
         amortised = register_seconds + sketched_seconds
         return [
             ["cold-no-sketch", count, plain_seconds,
-             count / plain_seconds, 1.0],
+             count / plain_seconds, 1.0, plain_faults],
             ["cold-sketch", count, sketched_seconds,
-             count / sketched_seconds, plain_seconds / sketched_seconds],
+             count / sketched_seconds, plain_seconds / sketched_seconds,
+             sketched_faults],
             ["cold-sketch+registration", count, amortised,
-             count / amortised, plain_seconds / amortised],
+             count / amortised, plain_seconds / amortised, amortised_faults],
+            [f"cold-sketch-{COLD_ENGINE_WORKERS}-workers", count, pooled_seconds,
+             count / pooled_seconds, plain_seconds / pooled_seconds,
+             pooled_faults],
         ]
 
     rows = run_once(run)
-    headers = ["mode", "queries", "seconds", "queries/sec", "speedup vs no-sketch"]
+    headers = ["mode", "queries", "seconds", "queries/sec", "speedup vs no-sketch",
+               "minor faults/query"]
     reporter(
         "SERVICE_COLD",
         render_experiment_header(

@@ -19,6 +19,9 @@ bit-for-bit identical either way.
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
 import sys
 from pathlib import Path
 
@@ -86,6 +89,35 @@ def _json_safe(value):
     return str(value)
 
 
+def _git(*args: str):
+    """Stdout of a git command in this checkout, or None outside a clone."""
+    try:
+        completed = subprocess.run(
+            ["git", *args],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return completed.stdout.strip() if completed.returncode == 0 else None
+
+
+def provenance(workers: int) -> dict:
+    """What a perf record was measured on: commit, host and versions."""
+    changes = _git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "git_sha": _git("rev-parse", "HEAD") or None,
+        # True when the measured tree had changes on top of that commit.
+        "git_dirty": None if changes is None else bool(changes),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "engine_workers": workers,
+    }
+
+
 @pytest.fixture
 def reporter(capfd, request):
     """Emit an experiment report to stdout (uncaptured), a text file and JSON.
@@ -97,7 +129,7 @@ def reporter(capfd, request):
     Call as ``reporter(experiment_id, text)`` for the legacy text-only form,
     or pass ``headers=``/``rows=`` to also write a structured
     ``results/<experiment>.json`` record (the CI bench-smoke job uploads
-    these as its artifact).
+    these as its artifact).  Every record carries its :func:`provenance`.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     workers = int(request.config.getoption("--engine-workers"))
@@ -109,6 +141,7 @@ def reporter(capfd, request):
             "experiment": experiment_id,
             "test": request.node.name,
             "engine_workers": workers,
+            "provenance": provenance(workers),
             "headers": _json_safe(headers) if headers is not None else None,
             "rows": _json_safe(rows) if rows is not None else None,
             "text": text,

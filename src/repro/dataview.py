@@ -37,6 +37,16 @@ Sketch vocabulary
 ``moments``
     ``(n, Σx, Σx²)`` — cheap scalar summaries, same caveat as above.
 
+Reading sketches
+----------------
+Sketch consumers never copy a sketch O(n) per query.  A release that needs
+the sketch snapped to a grid, clipped or re-centred reads it through those
+maps lazily: :class:`SortedMap` pairs a sorted sketch with a non-decreasing
+elementwise map, so counts are O(log n) probes of single elements and only
+the slice a mechanism can actually use is ever mapped.  Each map is the
+very NumPy expression the plain path applies to the whole array, so every
+mapped element is bit-for-bit what the plain path computes.
+
 Sharing
 -------
 Sketches are ordinary arrays here; the service registry swaps them for
@@ -48,13 +58,20 @@ of recomputing (see ``repro/engine/shm.py``).
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import DomainError
 
-__all__ = ["SKETCH_KINDS", "DatasetView", "as_view", "unwrap", "validate_needs"]
+__all__ = [
+    "SKETCH_KINDS",
+    "DatasetView",
+    "SortedMap",
+    "as_view",
+    "unwrap",
+    "validate_needs",
+]
 
 #: Every sketch name an :class:`EstimatorSpec` may declare in ``needs``.
 SKETCH_KINDS: Tuple[str, ...] = ("sorted", "sorted_abs", "prefix_sums", "moments")
@@ -240,6 +257,104 @@ class DatasetView:
         shape = "x".join(str(dim) for dim in self.shape)
         names = ",".join(sorted(self.sketches())) or "none"
         return f"DatasetView(shape={shape}, sketches={names})"
+
+
+class SortedMap:
+    """A sorted array read lazily through a non-decreasing elementwise map.
+
+    ``fn`` maps a 1-D slice of ``base`` to its images and must be elementwise
+    and non-decreasing (``None`` is the identity), so the images of a sorted
+    ``base`` are sorted too and every search runs on ``base`` indices,
+    mapping one element per probe.  ``guess`` is a speed hint only: it maps
+    an image threshold to a nearby ``base`` value, where the searches of
+    :meth:`count_le` / :meth:`count_lt` start before galloping outward.
+    """
+
+    __slots__ = ("base", "_fn", "_guess")
+
+    def __init__(
+        self,
+        base: Any,
+        fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        guess: Optional[Callable[[float], float]] = None,
+    ) -> None:
+        self.base = np.asarray(base)
+        self._fn = fn
+        self._guess = guess
+
+    def __len__(self) -> int:
+        return int(self.base.size)
+
+    def take(self, start: int, stop: int) -> np.ndarray:
+        """The images of ``base[start:stop]``."""
+        chunk = self.base[start:stop]
+        return chunk if self._fn is None else self._fn(chunk)
+
+    def at(self, index: int):
+        """The image of ``base[index]``."""
+        return self.take(index, index + 1)[0]
+
+    def ends(self) -> np.ndarray:
+        """The images of the first and last element (the extremes)."""
+        chunk = self.base[[0, -1]]
+        return chunk if self._fn is None else self._fn(chunk)
+
+    def then(
+        self, fn: Callable[[np.ndarray], np.ndarray], shift: float = 0.0
+    ) -> "SortedMap":
+        """Compose ``fn`` (non-decreasing) after this map.
+
+        ``shift`` keeps the search hint valid when ``fn`` subtracts a
+        constant: the image threshold ``t`` is sought at ``t + shift``.
+        """
+        inner, guess = self._fn, self._guess
+        composed = fn if inner is None else (lambda chunk: fn(inner(chunk)))
+        moved = None if guess is None else (lambda t: guess(t + shift))
+        return SortedMap(self.base, composed, moved)
+
+    def count_le(self, threshold: float) -> int:
+        """How many images are ``<= threshold``."""
+        return self._partition(lambda v: v <= threshold, self._start(threshold, "right"))
+
+    def count_lt(self, threshold: float) -> int:
+        """How many images are ``< threshold``."""
+        return self._partition(lambda v: v < threshold, self._start(threshold, "left"))
+
+    def _start(self, threshold: float, side: str) -> int:
+        if self._guess is None:
+            return len(self) // 2
+        return int(np.searchsorted(self.base, self._guess(threshold), side=side))
+
+    def _partition(self, holds: Callable[[Any], bool], start: int) -> int:
+        """Length of the prefix whose images satisfy ``holds``.
+
+        ``holds`` must be true on a prefix and false after it.  Gallops out
+        from ``start`` to bracket the boundary, then bisects the bracket:
+        O(log d) probes for a boundary ``d`` elements from ``start``.
+        """
+        n = len(self)
+        lo, hi = start - 1, start  # lo: last known true (-1), hi: first known false (n)
+        if lo >= 0 and not holds(self.at(lo)):
+            hi, step = lo, 1
+            lo = hi - 1
+            while lo >= 0 and not holds(self.at(lo)):
+                hi, step = lo, step * 2
+                lo = hi - step
+            lo = max(lo, -1)
+        elif hi < n and holds(self.at(hi)):
+            lo, step = hi, 1
+            hi = lo + 1
+            while hi < n and holds(self.at(hi)):
+                lo, step = hi, step * 2
+                hi = lo + step
+            hi = min(hi, n)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if holds(self.at(mid)):
+                lo = mid
+            else:
+                hi = mid
+        return hi
 
 
 def as_view(data: Any, needs: Iterable[str] = ()) -> DatasetView:

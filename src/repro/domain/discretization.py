@@ -20,6 +20,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from repro.dataview import SortedMap
 from repro.exceptions import DomainError
 
 __all__ = ["Grid"]
@@ -75,6 +76,24 @@ class Grid:
                 f"{float(np.max(np.abs(data))):g}; grid indices would overflow"
             )
         return np.rint(scaled).astype(np.int64)
+
+    def sorted_map(self, sorted_values: ArrayLike) -> SortedMap:
+        """``to_grid(sorted_values).astype(float)``, read lazily.
+
+        ``sorted_values`` must be ascending (NaN last, as ``np.sort`` puts
+        it).  The snap is monotone, so the extremes sit at the two ends and
+        :meth:`to_grid`'s checks run on those two elements alone, raising
+        the same errors it raises for the whole array.
+        """
+        base = np.asarray(sorted_values)
+        if base.size:
+            self.to_grid(base[[0, -1]])
+        bucket = self.bucket_size
+        return SortedMap(
+            base,
+            lambda chunk: np.rint(chunk / bucket).astype(np.int64).astype(float),
+            lambda t: t * bucket,
+        )
 
     def to_grid_scalar(self, value: float) -> int:
         """Map a single real value to its grid index."""

@@ -57,8 +57,10 @@ def _rank_distance(sorted_data: np.ndarray, tau: int, estimate: float) -> int:
     """Number of data points strictly between the tau-th order statistic and the estimate."""
     true_value = sorted_data[tau - 1]
     low, high = min(true_value, estimate), max(true_value, estimate)
-    strictly_between = np.count_nonzero((sorted_data > low) & (sorted_data < high))
-    return int(strictly_between)
+    strictly_between = int(np.searchsorted(sorted_data, high, side="left")) - int(
+        np.searchsorted(sorted_data, low, side="right")
+    )
+    return max(0, strictly_between)
 
 
 def estimate_empirical_quantile(
@@ -92,25 +94,25 @@ def estimate_empirical_quantile(
     """
     epsilon = validate_epsilon(epsilon)
     beta = validate_beta(beta)
-    data = np.asarray(values, dtype=float)
+    view = values if isinstance(values, DatasetView) else None
+    data = view if view is not None else np.asarray(values, dtype=float)
     if data.size == 0:
         raise InsufficientDataError("cannot estimate a quantile of an empty dataset")
-    n = data.size
+    n = int(data.size)
     if not 1 <= tau <= n:
         raise DomainError(f"tau must lie in [1, {n}], got {tau}")
     generator = resolve_rng(rng)
 
     grid = Grid(bucket_size)
 
-    # Sketch fast path: a DatasetView's ``sorted`` sketch replaces every full
-    # sort below — grid snapping and clipping are monotone, so the snapped /
-    # clipped sketch is the sorted version of what the plain path computes
-    # and all mechanism inputs are bit-for-bit identical.
-    view = values if isinstance(values, DatasetView) else None
+    # Sketch path: a DatasetView's ``sorted`` sketch replaces every full sort
+    # below.  Grid snapping and clipping are monotone, so the release reads
+    # the sketch through them lazily (only its rank window is mapped) and
+    # every mechanism input is bit-for-bit the plain path's.
 
     # 4/5 of the budget finds the range, 1/5 pays for the quantile release.
     range_result = estimate_range(
-        values if view is not None else data,
+        data,
         4.0 * epsilon / 5.0,
         beta / 2.0,
         generator,
@@ -119,22 +121,23 @@ def estimate_empirical_quantile(
         label=f"{label}.range",
     )
 
+    low, high = range_result.grid_low, range_result.grid_high
     if view is not None:
-        grid_values = grid.to_grid(view.sorted_values).astype(float)
+        clipped = grid.sorted_map(view.sorted_values).then(
+            lambda g: np.clip(g, low, high)
+        )
     else:
-        grid_values = grid.to_grid(data).astype(float)
-    clipped = np.clip(grid_values, range_result.grid_low, range_result.grid_high)
+        clipped = np.clip(grid.to_grid(data).astype(float), low, high)
     grid_estimate = finite_domain_quantile(
         clipped,
         tau,
-        range_result.grid_low,
-        range_result.grid_high,
+        low,
+        high,
         epsilon / 5.0,
         beta / 2.0,
         generator,
         ledger=ledger,
         label=f"{label}.quantile",
-        assume_sorted=view is not None,
     )
     estimate = grid.from_grid_scalar(grid_estimate)
 

@@ -13,9 +13,10 @@ Real-valued data is handled by discretizing with a bucket size ``b``
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -59,16 +60,16 @@ class RadiusResult:
     uncovered_count: int
 
 
-def _doubling_count_queries(abs_grid_values: np.ndarray) -> Iterator:
+def _doubling_count_queries(count_within: Callable[[float], int]) -> Iterator:
     """Yield the counting queries Count(D, 0), Count(D, 2^0), Count(D, 2^1), ...
 
-    ``abs_grid_values`` must be the sorted absolute values of the discretized
-    dataset, so each count is a single ``searchsorted``.
+    ``count_within(limit)`` is the number of discretized points with
+    ``|x| <= limit``.
     """
 
     def make_query(limit: float):
         def query() -> float:
-            return float(np.searchsorted(abs_grid_values, limit, side="right"))
+            return float(count_within(limit))
 
         return query
 
@@ -77,6 +78,10 @@ def _doubling_count_queries(abs_grid_values: np.ndarray) -> Iterator:
     while True:
         yield make_query(scale)
         scale *= 2.0
+
+
+def _count_le(sorted_values: np.ndarray, limit: float) -> int:
+    return int(np.searchsorted(sorted_values, limit, side="right"))
 
 
 def estimate_radius(
@@ -89,7 +94,7 @@ def estimate_radius(
     ledger: Optional[PrivacyLedger] = None,
     max_queries: int = DEFAULT_MAX_QUERIES,
     label: str = "radius",
-    sorted_abs: Optional[np.ndarray] = None,
+    count_within: Optional[Callable[[float], int]] = None,
 ) -> RadiusResult:
     """Privately estimate ``rad(D)`` over the (discretized) unbounded domain.
 
@@ -97,21 +102,22 @@ def estimate_radius(
     ----------
     values:
         The dataset ``D`` (integers, or reals when ``bucket_size`` is set).
-        A :class:`~repro.dataview.DatasetView` carrying the ``sorted_abs``
-        sketch skips the per-call grid conversion and sort: ``|rint(x/b)| ==
-        rint(|x|/b)`` and rounding is monotone, so snapping the sketch yields
-        exactly the sorted absolute grid values the plain path computes.
+        A :class:`~repro.dataview.DatasetView` reads its ``sorted_abs``
+        sketch through the grid snap instead of converting and sorting per
+        call: ``|rint(x/b)| == rint(|x|/b)`` and rounding is monotone, so
+        each count is an O(log n) search of the sketch.
     epsilon, beta:
         Privacy budget and failure probability for this call.
     bucket_size:
         Discretization bucket ``b``; use 1.0 for integer data.
     ledger:
         Optional ledger that records a spend of ``epsilon``.
-    sorted_abs:
-        Precomputed ``np.sort(np.abs(grid.to_grid(values)).astype(float))``
-        — callers that already hold the sorted absolute *grid* values (e.g.
-        derived from a dataset sketch) pass it here to skip both the grid
-        conversion and the sort.  Results are bit-for-bit identical.
+    count_within:
+        ``count_within(limit)`` is the number of points whose discretized
+        absolute value (as a float) is ``<= limit``.  Callers that can count
+        without the per-call grid conversion and sort (e.g. off a dataset
+        sketch) pass it here; ``values`` then only gives ``n``.  Results are
+        bit-for-bit identical.
 
     Returns
     -------
@@ -122,27 +128,25 @@ def estimate_radius(
     """
     epsilon = validate_epsilon(epsilon)
     beta = validate_beta(beta)
-    data = np.asarray(values, dtype=float)
-    if data.size == 0:
+    n = int(np.size(values))
+    if n == 0:
         raise InsufficientDataError("cannot estimate the radius of an empty dataset")
     generator = resolve_rng(rng)
 
     grid = Grid(bucket_size)
-    if sorted_abs is None and isinstance(values, DatasetView):
-        sorted_abs = grid.to_grid(values.sorted_abs).astype(float)
-    if sorted_abs is not None:
-        grid_values = None
-        abs_sorted = np.asarray(sorted_abs, dtype=float)
-    else:
-        grid_values = grid.to_grid(data)
-        abs_sorted = np.sort(np.abs(grid_values).astype(float))
-    n = data.size
+    if count_within is None:
+        if isinstance(values, DatasetView):
+            count_within = grid.sorted_map(values.sorted_abs).count_le
+        else:
+            grid_values = grid.to_grid(np.asarray(values, dtype=float))
+            abs_sorted = np.sort(np.abs(grid_values).astype(float))
+            count_within = functools.partial(_count_le, abs_sorted)
 
     threshold = n - (6.0 / epsilon) * math.log(2.0 / beta)
     result = sparse_vector(
         threshold,
         epsilon,
-        _doubling_count_queries(abs_sorted),
+        _doubling_count_queries(count_within),
         generator,
         max_queries=max_queries,
         ledger=ledger,
@@ -155,12 +159,9 @@ def estimate_radius(
         grid_radius = 2 ** (result.index - 2)
     radius = grid.from_grid_scalar(grid_radius)
 
-    if grid_values is None:
-        # Count of |x| <= r over the sorted absolute values; identical to the
-        # count_nonzero below on the same multiset.
-        covered = int(np.searchsorted(abs_sorted, float(grid_radius), side="right"))
-    else:
-        covered = int(np.count_nonzero(np.abs(grid_values) <= grid_radius))
+    # Grid values stay within 2**62, so capping the limit changes no count
+    # and keeps a (vanishingly unlikely) huge radius from overflowing float.
+    covered = int(count_within(float(min(grid_radius, 2**63))))
     return RadiusResult(
         radius=radius,
         grid_radius=int(grid_radius),

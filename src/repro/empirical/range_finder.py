@@ -34,22 +34,6 @@ from repro.mechanisms.sparse_vector import DEFAULT_MAX_QUERIES
 __all__ = ["RangeResult", "estimate_range"]
 
 
-def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Merge two ascending arrays into one (equal to ``np.sort(concat)``).
-
-    Scatter positions come from cross-``searchsorted``: every element of
-    ``a`` lands before the equal elements of ``b`` and vice versa, which is a
-    bijection onto the output slots.  For float arrays of exact values (ties
-    are bit-identical) the result is bitwise equal to sorting the
-    concatenation, at the cost of two binary-search passes instead of a full
-    sort.
-    """
-    out = np.empty(a.size + b.size, dtype=np.result_type(a, b))
-    out[np.searchsorted(b, a, side="left") + np.arange(a.size)] = a
-    out[np.searchsorted(a, b, side="right") + np.arange(b.size)] = b
-    return out
-
-
 @dataclass(frozen=True)
 class RangeResult:
     """Private range estimate ``[low, high]`` plus analysis-only diagnostics.
@@ -115,32 +99,29 @@ def estimate_range(
     """
     epsilon = validate_epsilon(epsilon)
     beta = validate_beta(beta)
-    data = np.asarray(values, dtype=float)
-    if data.size == 0:
+    view = values if isinstance(values, DatasetView) else None
+    data = view if view is not None else np.asarray(values, dtype=float)
+    n = int(data.size)
+    if n == 0:
         raise InsufficientDataError("cannot estimate the range of an empty dataset")
     generator = resolve_rng(rng)
 
     grid = Grid(bucket_size)
-    n = data.size
 
-    # Sketch fast path: with a DatasetView carrying the ``sorted`` and
-    # ``sorted_abs`` sketches, every representation below is derived from the
-    # sketches by monotone transforms (grid snapping, clipping, shifting) —
-    # identical multisets, already in sorted order — so the per-call full
-    # sorts and grid conversions of the plain path disappear while every
-    # mechanism sees bit-for-bit identical inputs.
-    view = values if isinstance(values, DatasetView) else None
+    # Sketch path: a DatasetView's ``sorted`` and ``sorted_abs`` sketches are
+    # read through the monotone maps the plain path applies to the whole
+    # array (grid snap, clip, shift): counts are O(log n) searches and the
+    # median only maps its rank window, with bit-for-bit identical inputs.
     if view is not None:
-        grid_sorted = grid.to_grid(view.sorted_values).astype(float)
-        abs_grid_sorted = grid.to_grid(view.sorted_abs).astype(float)
-        grid_values = None
+        grid_sorted = grid.sorted_map(view.sorted_values)
+        count_first = grid.sorted_map(view.sorted_abs).count_le
     else:
-        grid_sorted = abs_grid_sorted = None
         grid_values = grid.to_grid(data).astype(float)
+        count_first = None
 
     # Step 1: private radius of the raw (discretized) data, eps/8 of the budget.
     radius_first = estimate_radius(
-        grid_sorted if grid_values is None else grid_values,
+        data if view is not None else grid_values,
         epsilon / 8.0,
         beta / 3.0,
         generator,
@@ -148,13 +129,15 @@ def estimate_range(
         ledger=ledger,
         max_queries=max_queries,
         label=f"{label}.radius_first",
-        sorted_abs=abs_grid_sorted,
+        count_within=count_first,
     )
     rad1 = radius_first.grid_radius
 
     # Step 2: private median over the finite domain Z ∩ [-rad1, rad1], eps/8.
-    # Clipping is monotone, so the clipped sketch stays sorted.
-    clipped = np.clip(grid_sorted if grid_values is None else grid_values, -rad1, rad1)
+    if view is not None:
+        clipped = grid_sorted.then(lambda g: np.clip(g, -rad1, rad1))
+    else:
+        clipped = np.clip(grid_values, -rad1, rad1)
     median_rank = max(1, n // 2)
     grid_center = finite_domain_quantile(
         clipped,
@@ -166,24 +149,25 @@ def estimate_range(
         generator,
         ledger=ledger,
         label=f"{label}.median",
-        assume_sorted=grid_values is None,
     )
 
     # Step 3: re-centre and estimate the radius again, 3 eps/4 of the budget.
-    if grid_values is None:
-        # Shifting preserves order; the sorted absolute values of the
-        # recentred data are the merge of the negated negative part
-        # (reversed) with the non-negative part.
-        recentred = grid_sorted - grid_center
-        negatives = int(np.searchsorted(recentred, 0.0, side="left"))
-        recentred_abs = _merge_sorted(
-            -recentred[:negatives][::-1], recentred[negatives:]
-        )
+    if view is not None:
+        recentred = grid_sorted.then(lambda g: g - grid_center, shift=grid_center)
+        # The plain path's radius discretizes the recentred data; its checks
+        # hold on the two (extreme) ends.
+        Grid.unit().to_grid(recentred.ends())
+
+        def count_recentred(limit: float) -> int:
+            # |fl(g - c)| <= s exactly when -s <= fl(g - c) <= s, and
+            # fl(g - c) is non-decreasing in g.
+            return recentred.count_le(limit) - recentred.count_lt(-limit)
+
     else:
         recentred = grid_values - grid_center
-        recentred_abs = None
+        count_recentred = None
     radius_recentred = estimate_radius(
-        recentred,
+        data if view is not None else recentred,
         3.0 * epsilon / 4.0,
         beta / 3.0,
         generator,
@@ -191,7 +175,7 @@ def estimate_range(
         ledger=ledger,
         max_queries=max_queries,
         label=f"{label}.radius_recentred",
-        sorted_abs=recentred_abs,
+        count_within=count_recentred,
     )
     rad2 = radius_recentred.grid_radius
 

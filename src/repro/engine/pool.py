@@ -27,6 +27,9 @@ Execution model
 * On platforms without ``fork``, or inside a daemonic worker (nested engine
   use), :attr:`EnginePool.parallel` is false and callers degrade to the
   identical serial path.
+* Workers keep freed memory resident (glibc's ``mallopt``; a no-op where it
+  is missing), so a trial's O(n) temporaries are not page-faulted in afresh
+  on every call.
 """
 
 from __future__ import annotations
@@ -78,9 +81,41 @@ def _transferable(exc: BaseException) -> BaseException:
         return EngineError(f"worker raised unpicklable {type(exc).__name__}: {exc}")
 
 
+#: ``mallopt`` parameter numbers from glibc's ``<malloc.h>``.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+#: Allocations up to 32 MiB (glibc's ceiling for this knob on 64-bit) come
+#: from the heap, and up to 128 MiB of free heap top stays mapped.
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 128 << 20
+
+
+def _retain_heap() -> None:
+    """Keep freed memory resident in this process (no-op without ``mallopt``).
+
+    By default glibc serves each large array from a fresh mapping, unmaps it
+    on free and trims the heap top, so a worker page-faults its trial's
+    temporaries in again on every call.  Fixed thresholds turn off that
+    dynamic behaviour.  Worker processes only: a parent with a retained heap
+    at fork time would count it again in every child's peak RSS.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def _worker_main(conn: Connection) -> None:
     """Worker loop: cache decoded trial functions, execute spans on demand."""
     from repro.engine.core import execute_span
+
+    _retain_heap()
 
     fns: Dict[int, Any] = {}
     while True:

@@ -14,19 +14,48 @@ working over at most ``2n + 1`` integer intervals instead of enumerating the
 clamping near 1 and ``n`` and enjoys the rank-error guarantee of Lemma 2.8:
 with probability ``1 - beta`` the returned value lies between the order
 statistics of ranks ``tau ± (4/eps) log(|X| / beta)``.
+
+Rank window
+-----------
+Given sorted data as a :class:`~repro.dataview.SortedMap` (a dataset sketch
+read through its grid, clip and recentre maps), :func:`inverse_sensitivity_quantile`
+builds intervals only for the data ranks within
+``reach = 2 (ln|X| + 750) / eps`` of ``tau``, widened to whole runs of equal
+values, and maps only that slice of the sketch.  The draw is bit-for-bit the
+one over all intervals, for ``1 <= tau <= n``:
+
+* An interval outside the window has score ``s >= reach`` (its data points
+  lie ``>= reach`` ranks from ``tau``) and size ``<= |X|``, so its
+  log-weight ``ln(size) - eps s / 2`` is at most ``-750``.  The maximum
+  log-weight is at least 0 (the ``tau``-th order statistic's singleton has
+  score 0 and size 1) and is attained inside the window, so every outside
+  interval has ``exp(log_weight - max)`` underflow to exactly ``0.0``.
+* The cumulative sum is sequential: the leading zeros sum to ``0.0``, the
+  window's partial sums are then today's exactly, and the trailing zeros
+  leave the total unchanged.  A draw ``u * total >= 0`` never selects a
+  leading interval (its cumulative ``0.0`` is not above the draw), so the
+  chosen index only shifts by the window start.
+* A draw that rounds up to the total selects the domain's last interval,
+  which is rebuilt from the largest value and ``domain_high`` when the
+  window stops short of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro._rng import RngLike, resolve_rng
 from repro.accounting import PrivacyLedger, validate_beta, validate_epsilon
+from repro.dataview import SortedMap
 from repro.exceptions import DomainError, InsufficientDataError
+
+#: ``exp(x)`` is exactly 0.0 in binary64 for every ``x < -745.14``; the rank
+#: window keeps every interval whose log-weight can lie above ``-750``.
+_UNDERFLOW_MARGIN = 750.0
 
 __all__ = [
     "QuantileInterval",
@@ -75,111 +104,145 @@ def _path_length(count_below: int, count_above: int, n: int, tau: int) -> int:
     return max(0, deficit_low, deficit_high)
 
 
+def _check_domain(first: int, last: int, n: int, domain_low: int, domain_high: int) -> None:
+    """Reject an empty domain, or data (extremes ``first``/``last``) outside it."""
+    if domain_high < domain_low:
+        raise DomainError(
+            f"empty candidate domain: [{domain_low}, {domain_high}]"
+        )
+    if n and (first < domain_low or last > domain_high):
+        raise DomainError(
+            f"data values [{first}, {last}] lie outside the "
+            f"candidate domain [{domain_low}, {domain_high}]"
+        )
+
+
+def _interval_arrays(
+    values: np.ndarray,
+    tau: int,
+    domain_low: int,
+    domain_high: int,
+    below: int = 0,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(lows, highs, scores)`` runs tiling ``[domain_low, domain_high]``.
+
+    ``values`` is ascending int64 data.  ``below`` counts further data points
+    lying strictly below the domain: the ranks before ``values`` when it is
+    a rank window of the dataset.  (Points above it never enter a score.)
+    """
+    m = int(values.size)
+    if not m:
+        lows = np.asarray([domain_low], dtype=np.int64)
+        highs = np.asarray([domain_high], dtype=np.int64)
+        rank = np.asarray([below], dtype=np.int64)
+        return lows, highs, np.maximum(0, np.maximum(rank - (tau - 1), tau - rank))
+    # Runs of equal values: the i-th distinct value unique[i] occupies ranks
+    # [starts[i], ends[i]) of the whole dataset.
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    unique = values[starts]
+    starts = starts + below
+    ends = np.append(starts[1:], below + m)
+    # Candidate segments: for each distinct value, the gap of integers
+    # strictly before it and the singleton {v}; finally the gap after the last
+    # value.  The gap before unique[i] starts one past unique[i-1] (or at
+    # domain_low for the first), so lows/highs interleave as
+    # [gap_0, {v_0}, gap_1, {v_1}, ...] with empty gaps dropped.  A gap
+    # before unique[i] has starts[i] points below and n - starts[i] above it;
+    # the singleton has starts[i] below and n - ends[i] above.
+    k = int(unique.size)
+    lows = np.empty(2 * k + 1, dtype=np.int64)
+    highs = np.empty(2 * k + 1, dtype=np.int64)
+    lows[0] = domain_low
+    lows[2::2] = unique + 1
+    lows[1::2] = unique
+    highs[0:-1:2] = unique - 1
+    highs[-1] = domain_high
+    highs[1::2] = unique
+    below_counts = np.empty(2 * k + 1, dtype=np.int64)
+    below_counts[0:-1:2] = starts
+    below_counts[1::2] = starts
+    below_counts[-1] = below + m
+    at_or_below = np.empty(2 * k + 1, dtype=np.int64)
+    at_or_below[0:-1:2] = starts
+    at_or_below[1::2] = ends
+    at_or_below[-1] = below + m
+    # Score max(0, below - (tau - 1), tau - (n - above)), where n - above
+    # counts the points at or below the segment.
+    scores = np.maximum(
+        0, np.maximum(below_counts - (tau - 1), tau - at_or_below)
+    )
+    kept = np.flatnonzero(lows <= highs)
+    return lows[kept], highs[kept], scores[kept]
+
+
 def _quantile_interval_arrays(
     sorted_values: Sequence[int],
     tau: int,
     domain_low: int,
     domain_high: int,
-    *,
-    assume_sorted: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised core of :func:`build_quantile_intervals`.
 
     Returns the ``(lows, highs, scores)`` arrays of the constant-score runs
     tiling ``[domain_low, domain_high]`` without materialising per-interval
-    Python objects — this is the per-trial hot path of every quantile call.
-
-    ``assume_sorted=True`` is the sketch fast path: the caller guarantees the
-    input is already ascending (e.g. it was derived monotonically from a
-    :class:`~repro.dataview.DatasetView` sketch), so the defensive re-sort is
-    skipped and the distinct values plus the strict-below / strict-above
-    counts are read directly off the run boundaries instead of re-searching
-    the data.  Both branches produce bit-for-bit identical arrays; the plain
-    branch is the reference.
+    Python objects.  This is the reference the rank-window path is checked
+    against: every interval, from a defensive sort of the input.
     """
-    if domain_high < domain_low:
-        raise DomainError(
-            f"empty candidate domain: [{domain_low}, {domain_high}]"
-        )
-    if assume_sorted:
-        values = np.asarray(sorted_values, dtype=np.int64)
-    else:
-        values = np.sort(np.asarray(sorted_values, dtype=np.int64))
+    values = np.sort(np.asarray(sorted_values, dtype=np.int64))
     n = int(values.size)
-    if n and (int(values[0]) < domain_low or int(values[-1]) > domain_high):
-        raise DomainError(
-            f"data values [{int(values[0])}, {int(values[-1])}] lie outside the "
-            f"candidate domain [{domain_low}, {domain_high}]"
-        )
-    counts_below: Optional[np.ndarray] = None
-    counts_above: Optional[np.ndarray] = None
-    if assume_sorted and n:
-        # Run boundaries of the sorted data: starts[i] is the index of the
-        # first occurrence of the i-th distinct value — i.e. the number of
-        # elements strictly below it — and ends[i] the number of elements at
-        # or below it.  These are exactly what the reference branch recovers
-        # later via searchsorted, so the scores come out identical.
-        starts = np.flatnonzero(
-            np.concatenate(([True], values[1:] != values[:-1]))
-        ).astype(np.int64)
-        unique = values[starts]
-        ends = np.concatenate((starts[1:], [np.int64(n)]))
-    else:
-        starts = ends = None
-        unique = np.unique(values)
-
-    # Candidate segments: for each distinct data value v, the gap of integers
-    # strictly before it and the singleton {v}; finally the gap after the last
-    # value.  The gap before unique[i] starts one past unique[i-1] (or at
-    # domain_low for the first), so lows/highs interleave as
-    # [gap_0, {v_0}, gap_1, {v_1}, ...] with empty gaps masked out.
-    if unique.size:
-        k = int(unique.size)
-        gap_lows = np.empty(k, dtype=np.int64)
-        gap_lows[0] = domain_low
-        gap_lows[1:] = unique[:-1] + 1
-        lows = np.empty(2 * k, dtype=np.int64)
-        highs = np.empty(2 * k, dtype=np.int64)
-        lows[0::2] = gap_lows
-        highs[0::2] = unique - 1
-        lows[1::2] = unique
-        highs[1::2] = unique
-        keep = lows <= highs
-        if starts is not None and ends is not None:
-            # Strictly-below is starts[i] for both the gap before unique[i]
-            # and the singleton {unique[i]}; strictly-above is n - starts[i]
-            # over the gap (everything >= unique[i]) and n - ends[i] at the
-            # singleton (everything > unique[i]).  Integer indexing beats
-            # boolean masking ~4x at this size and selects the same rows.
-            below_full = np.repeat(starts, 2)
-            above_full = np.empty(2 * k, dtype=np.int64)
-            above_full[0::2] = n - starts
-            above_full[1::2] = n - ends
-            kept = np.flatnonzero(keep)
-            counts_below = below_full[kept]
-            counts_above = above_full[kept]
-            lows = lows[kept]
-            highs = highs[kept]
-        else:
-            lows = lows[keep]
-            highs = highs[keep]
-        if int(unique[-1]) < domain_high:
-            lows = np.append(lows, unique[-1] + 1)
-            highs = np.append(highs, np.int64(domain_high))
-            if counts_below is not None and counts_above is not None:
-                counts_below = np.append(counts_below, np.int64(n))
-                counts_above = np.append(counts_above, np.int64(0))
-    else:
-        lows = np.asarray([domain_low], dtype=np.int64)
-        highs = np.asarray([domain_high], dtype=np.int64)
-
-    if counts_below is None or counts_above is None:
-        counts_below = np.searchsorted(values, lows, side="left")
-        counts_above = n - np.searchsorted(values, highs, side="right")
-    scores = np.maximum(
-        0, np.maximum(counts_below - (tau - 1), tau - (n - counts_above))
+    _check_domain(
+        int(values[0]) if n else 0, int(values[-1]) if n else 0,
+        n, domain_low, domain_high,
     )
-    return lows, highs, scores
+    return _interval_arrays(values, tau, domain_low, domain_high)
+
+
+def _rank_window(values: SortedMap, tau: int, epsilon: float, domain_size: int) -> Tuple[int, int]:
+    """``[start, stop)``: the ranks whose intervals can carry nonzero weight.
+
+    Every interval outside it scores at least ``reach`` (see the module
+    docstring), and both ends fall on boundaries between runs of equal
+    values.  Outside ``1 <= tau <= n`` no interval need score 0, so the
+    window is all of the data.
+    """
+    n = len(values)
+    if not 1 <= tau <= n:
+        return 0, n
+    reach = 2.0 * (math.log(domain_size) + _UNDERFLOW_MARGIN) / epsilon
+    first = math.floor(tau - reach) - 1
+    last = math.ceil(tau - 1 + reach) + 1
+    start = 0 if first <= 0 else values.count_lt(values.at(first))
+    stop = n if last >= n else values.count_le(values.at(last - 1))
+    return start, stop
+
+
+def _windowed_quantile(
+    values: SortedMap,
+    tau: int,
+    domain_low: int,
+    domain_high: int,
+    epsilon: float,
+    generator: np.random.Generator,
+) -> int:
+    """INV over the rank window of the sorted int64 images of ``values``."""
+    n = len(values)
+    low_end, high_end = (int(v) for v in values.ends()) if n else (0, 0)
+    _check_domain(low_end, high_end, n, domain_low, domain_high)
+    start, stop = _rank_window(values, tau, epsilon, domain_high - domain_low + 1)
+    window = np.asarray(values.take(start, stop), dtype=np.int64)
+    lows, highs, scores = _interval_arrays(
+        window,
+        tau,
+        domain_low if start == 0 else int(values.at(start - 1)) + 1,
+        domain_high if stop == n else int(window[-1]),
+        below=start,
+    )
+    last = None
+    if stop < n:
+        # The domain's last interval, which a draw rounded up to the total
+        # picks: the gap after the largest value, or that value alone.
+        last = (high_end + 1, domain_high) if high_end < domain_high else (high_end, high_end)
+    return _sample_over_interval_arrays(lows, highs, scores, epsilon, generator, last)
 
 
 def build_quantile_intervals(
@@ -215,6 +278,7 @@ def _sample_over_interval_arrays(
     scores: np.ndarray,
     epsilon: float,
     generator: np.random.Generator,
+    last: Optional[Tuple[int, int]] = None,
 ) -> int:
     """Two-stage exponential-mechanism sampling over ``(lows, highs, scores)`` runs.
 
@@ -224,7 +288,9 @@ def _sample_over_interval_arrays(
     probability vector, raising ``ValueError: probabilities do not sum to 1``
     whenever float rounding across many intervals leaves the sum off by more
     than its tolerance.  Inversion needs no normalisation at all, so it cannot
-    flake at large interval counts.
+    flake at large interval counts.  A draw that rounds up to the total
+    takes the last interval: the arrays' own, or ``last`` ``(low, high)``
+    when the arrays are a window that stops short of the domain's end.
     """
     sizes = highs - lows + 1
     if np.any(sizes < 1):
@@ -239,10 +305,13 @@ def _sample_over_interval_arrays(
     total = float(cumulative[-1])
     draw = generator.random() * total
     index = int(np.searchsorted(cumulative, draw, side="right"))
-    index = min(index, int(lows.size) - 1)
-
-    low = int(lows[index])
-    size = int(sizes[index])
+    if index < lows.size:
+        low, high = int(lows[index]), int(highs[index])
+    elif last is None:
+        low, high = int(lows[-1]), int(highs[-1])
+    else:
+        low, high = last
+    size = high - low + 1
     if size == 1:
         return low
     # The run length fits comfortably in a Python int; sample uniformly in it.
@@ -315,28 +384,36 @@ def clamped_rank(tau: int, n: int, clamp: float) -> int:
 
 
 def inverse_sensitivity_quantile(
-    sorted_values: Sequence[int],
+    sorted_values: Union[Sequence[int], SortedMap],
     tau: int,
     domain_low: int,
     domain_high: int,
     epsilon: float,
     rng: RngLike = None,
-    *,
-    assume_sorted: bool = False,
 ) -> int:
     """Run INV for the ``tau``-th order statistic over an integer domain.
 
     This is the raw mechanism without Algorithm 2's rank clamping; callers
     that need the Lemma 2.8 guarantee should use :func:`finite_domain_quantile`.
-    ``assume_sorted=True`` promises ``sorted_values`` is already ascending
-    (sketch fast path; identical draws either way).
+    A :class:`~repro.dataview.SortedMap` of ascending ints (a dataset sketch
+    read through its grid maps) builds only the rank window's intervals;
+    any other input is sorted and gets every interval.  Both draw the same
+    value from the same generator state.
     """
     epsilon = validate_epsilon(epsilon)
     generator = resolve_rng(rng)
+    if isinstance(sorted_values, SortedMap):
+        return _windowed_quantile(
+            sorted_values, tau, int(domain_low), int(domain_high), epsilon, generator
+        )
     lows, highs, scores = _quantile_interval_arrays(
-        sorted_values, tau, domain_low, domain_high, assume_sorted=assume_sorted
+        sorted_values, tau, domain_low, domain_high
     )
     return _sample_over_interval_arrays(lows, highs, scores, epsilon, generator)
+
+
+def _round_to_int(values: np.ndarray) -> np.ndarray:
+    return np.rint(values).astype(np.int64)
 
 
 def finite_domain_quantile(
@@ -350,17 +427,16 @@ def finite_domain_quantile(
     *,
     ledger: Optional[PrivacyLedger] = None,
     label: str = "finite_domain_quantile",
-    assume_sorted: bool = False,
 ) -> int:
     """Algorithm 2: privately estimate the ``tau``-th smallest value of ``values``.
 
     Parameters
     ----------
     values:
-        Integer data (need not be sorted unless ``assume_sorted=True``, the
-        sketch fast path — the caller then guarantees ascending order and
-        the defensive sorts are skipped with bit-for-bit identical results);
-        every value must lie inside ``[domain_low, domain_high]``.
+        Integer data, in any order; or a :class:`~repro.dataview.SortedMap`
+        of ascending values, read lazily without a sort or an O(n) copy
+        (bit-for-bit identical results).  Every value must lie inside
+        ``[domain_low, domain_high]``.
     tau:
         Requested rank, ``1 <= tau <= n``.  Ranks too close to the extremes
         are clamped to ``(2/eps) log(|X|/beta)`` away from them exactly as in
@@ -378,11 +454,12 @@ def finite_domain_quantile(
     """
     epsilon = validate_epsilon(epsilon)
     beta = validate_beta(beta)
-    if assume_sorted:
-        data = np.asarray(values, dtype=float)
+    if isinstance(values, SortedMap):
+        data: Union[np.ndarray, SortedMap] = values
+        n = len(values)
     else:
         data = np.sort(np.asarray(values, dtype=float))
-    n = data.size
+        n = data.size
     if n == 0:
         raise InsufficientDataError("cannot estimate a quantile of an empty dataset")
     if not 1 <= tau <= n:
@@ -395,9 +472,8 @@ def finite_domain_quantile(
     if ledger is not None:
         ledger.charge(label, epsilon)
 
-    # rint is monotone, so an already-sorted float input stays sorted after
-    # snapping and the fast interval construction remains valid.
-    sorted_ints = np.rint(data).astype(np.int64)
+    # rint is monotone, so sorted data stays sorted after snapping.
+    sorted_ints = data.then(_round_to_int) if isinstance(data, SortedMap) else _round_to_int(data)
     return inverse_sensitivity_quantile(
         sorted_ints,
         tau_prime,
@@ -405,5 +481,4 @@ def finite_domain_quantile(
         int(domain_high),
         epsilon,
         rng,
-        assume_sorted=assume_sorted,
     )

@@ -129,6 +129,8 @@ class AsyncServiceServer:
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._bound: Optional[Tuple[str, int]] = None
+        # Open connections, task -> writer (event-loop thread only).
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         # Touched only from the event-loop thread; read anywhere (CPython int
         # loads are atomic, and the stats are monitoring data, not invariants).
         self._counters: Dict[str, int] = {
@@ -153,8 +155,20 @@ class AsyncServiceServer:
         await self._server.serve_forever()
 
     async def aclose(self) -> None:
+        """Stop accepting, close open connections and await them, then close.
+
+        Keep-alive connections idle in a read would otherwise outlive the
+        loop and be destroyed while pending.  Closing a transport ends its
+        idle read with EOF; a request already executing finishes first (its
+        answer is released and charged either way) and its response is
+        dropped.
+        """
         if self._server is not None:
             self._server.close()
+            connections = dict(self._connections)
+            for writer in connections.values():
+                writer.close()
+            await asyncio.gather(*connections, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         self._executor.shutdown(wait=False)
@@ -184,7 +198,9 @@ class AsyncServiceServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
         try:
+            self._connections[task] = writer
             while await self._serve_one(reader, writer):
                 pass
         except _Hangup:
@@ -199,6 +215,7 @@ class AsyncServiceServer:
                     flush=True,
                 )
         finally:
+            self._connections.pop(task, None)
             writer.close()
             try:
                 await writer.wait_closed()

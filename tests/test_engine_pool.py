@@ -16,6 +16,7 @@ The contracts under test:
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing as mp
 import os
 
@@ -43,6 +44,29 @@ def _noisy_trial(index, generator):
 
 def _failing_cell_fn(index, generator):
     raise MechanismError(f"cell trial {index} failed")
+
+
+def _second_release_faults(index, generator):
+    """Minor page faults of the second of two quantile releases at n=100k."""
+    import resource
+
+    from repro.core.quantiles import estimate_quantiles
+    from repro.dataview import DatasetView
+
+    data = np.random.default_rng(7).normal(250.0, 40.0, size=100_000)
+    view = DatasetView(data).precompute(("sorted", "sorted_abs"))
+    estimate_quantiles(view, [0.1, 0.5, 0.9], 1.0, 0.1, 1)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    estimate_quantiles(view, [0.1, 0.5, 0.9], 1.0, 0.1, 2)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+def _has_mallopt() -> bool:
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return True
 
 
 class TestPoolLifecycle:
@@ -205,6 +229,24 @@ class TestPoolLifecycle:
                 workers=2,
                 allow_cell_failures=True,
             )
+
+
+class TestWorkerHeap:
+    @pytest.mark.skipif(not _has_mallopt(), reason="needs glibc's mallopt")
+    def test_second_release_does_not_fault_its_temporaries_in(self):
+        """Workers keep freed memory resident between releases.
+
+        Measured on a 2-core Linux host: the second release faulted in
+        31,069-34,004 pages when glibc returned every large temporary to
+        the kernel on free, and 0-7 pages with the worker heap retained.
+        """
+        with EnginePool(2) as pool:
+            if not pool.parallel:
+                pytest.skip("needs forked pool workers")
+            faults = run_batch(
+                _second_release_faults, 2, rng=0, pool=pool, chunk_size=1
+            ).results
+        assert max(faults) < 1_000, faults
 
 
 class TestGridDeterminism:

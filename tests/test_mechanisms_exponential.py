@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.accounting import PrivacyLedger
+from repro.dataview import DatasetView, SortedMap
+from repro.empirical import estimate_empirical_quantile, estimate_range
 from repro.exceptions import DomainError, InsufficientDataError
 from repro.mechanisms.exponential import (
     QuantileInterval,
@@ -269,3 +271,143 @@ class TestInverseSensitivityQuantile:
         # With a huge epsilon nearly all mass sits on values with score 0,
         # i.e. the single point 30.
         assert np.median(draws) == pytest.approx(30, abs=5)
+
+
+class _FixedDraw(np.random.Generator):
+    """A generator whose ``random()`` always returns ``value``."""
+
+    def __init__(self, value: float, seed: int = 0):
+        super().__init__(np.random.PCG64(seed))
+        self.value = value
+
+    def random(self, *args, **kwargs):
+        return self.value
+
+
+#: The largest double below 1: ``random()``'s top output.
+_TOP_DRAW = float(np.nextafter(1.0, 0.0))
+
+
+@st.composite
+def _window_cases(draw):
+    """Sorted int data with long tie runs, a domain around it, tau and eps."""
+    half_width = draw(
+        st.one_of(
+            st.integers(1, 16),
+            st.integers(1, 2**62 - 1),
+            st.just(2**62 - 1),
+        )
+    )
+    runs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(-half_width, half_width), st.integers(1, 400)
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    # A stretch of evenly spaced values, so that weights decay rank by rank
+    # across the window edges rather than run by run.
+    start = draw(st.integers(-half_width, half_width))
+    step = draw(st.integers(1, max(1, half_width // 3000)))
+    stretch = np.clip(
+        start + step * np.arange(draw(st.integers(0, 3000)), dtype=np.int64),
+        -half_width,
+        half_width,
+    )
+    values = np.sort(
+        np.concatenate(
+            [stretch]
+            + [np.full(length, value, dtype=np.int64) for value, length in runs]
+        )
+    )
+    n = int(values.size)
+    epsilon = 10.0 ** draw(st.floats(-3.0, 1.0))
+    mode = draw(st.sampled_from(["first", "last", "any", "clamped"]))
+    if mode == "first":
+        tau = 1
+    elif mode == "last":
+        tau = n
+    else:
+        tau = draw(st.integers(1, n))
+        if mode == "clamped":
+            clamp = rank_clamp_width(2 * half_width + 1, epsilon, 0.1)
+            tau = clamped_rank(tau, n, clamp)
+    return values, tau, -half_width, half_width, epsilon
+
+
+class TestRankWindowEquivalence:
+    """The rank-window sampler draws exactly what the all-intervals one does."""
+
+    @staticmethod
+    def _both(values, tau, low, high, epsilon, make_generator):
+        windowed_rng, reference_rng = make_generator(), make_generator()
+        windowed = inverse_sensitivity_quantile(
+            SortedMap(values), tau, low, high, epsilon, windowed_rng
+        )
+        reference = exponential_mechanism_over_intervals(
+            build_quantile_intervals(values, tau, low, high), epsilon, reference_rng
+        )
+        assert windowed == reference
+        assert windowed_rng.bit_generator.state == reference_rng.bit_generator.state
+        return windowed
+
+    @given(case=_window_cases(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_same_draw_as_all_intervals(self, case, seed):
+        values, tau, low, high, epsilon = case
+        self._both(
+            values, tau, low, high, epsilon, lambda: np.random.default_rng(seed)
+        )
+
+    @given(case=_window_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_same_draw_at_the_top_of_the_cumulative_range(self, case):
+        values, tau, low, high, epsilon = case
+        for value in (_TOP_DRAW, 1.0):
+            # 1.0 forces the draw onto the total itself: the clamp to the
+            # domain's last interval, which the window may not contain.
+            self._both(values, tau, low, high, epsilon, lambda: _FixedDraw(value))
+
+    def test_clamp_rebuilds_the_last_interval_outside_the_window(self):
+        values = np.arange(0, 5_000, dtype=np.int64)
+        draw = self._both(values, 10, 0, 9_000, 5.0, lambda: _FixedDraw(1.0))
+        assert 5_000 <= draw <= 9_000
+
+    def test_out_of_domain_data_rejected_alike(self):
+        with pytest.raises(DomainError) as reference:
+            build_quantile_intervals([100], 1, 0, 10)
+        with pytest.raises(DomainError) as windowed:
+            inverse_sensitivity_quantile(SortedMap([100]), 1, 0, 10, 1.0, 0)
+        assert str(windowed.value) == str(reference.value)
+
+
+class TestSketchPathErrors:
+    """A DatasetView raises exactly the plain path's errors."""
+
+    @pytest.mark.parametrize(
+        "data, bucket_size",
+        [
+            (np.array([1.0, 2.0, np.nan, 4.0] * 4), 1.0),
+            (np.array([1.0, -np.inf, 3.0, 4.0] * 4), 1.0),
+            (np.array([1.0, 2.0, 3.0, 1e20] * 4), 1.0),
+            (np.array([-1e6, 2.0, 3.0, 4.0] * 4), 1e-14),
+        ],
+        ids=["nan", "neg-inf", "overflow", "overflow-small-bucket"],
+    )
+    @pytest.mark.parametrize("release", ["range", "quantile"])
+    def test_same_domain_error(self, data, bucket_size, release):
+        def run(values):
+            if release == "range":
+                return estimate_range(values, 1.0, 0.1, 0, bucket_size=bucket_size)
+            return estimate_empirical_quantile(
+                values, 8, 1.0, 0.1, 0, bucket_size=bucket_size
+            )
+
+        view = DatasetView(data).precompute(("sorted", "sorted_abs"))
+        with pytest.raises(DomainError) as plain:
+            run(data)
+        with pytest.raises(DomainError) as sketched:
+            run(view)
+        assert str(sketched.value) == str(plain.value)

@@ -11,8 +11,13 @@ bit-for-bit identical answers for the same service seed and query stream.
 from __future__ import annotations
 
 import json
+import os
 import socket
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 import urllib.error
 import urllib.request
 from types import SimpleNamespace
@@ -301,6 +306,47 @@ class TestAsyncStalledClients:
             # ...and keeps serving everyone else.
             status, doc = _call(runner.url, "/health")
             assert status == 200 and doc["status"] == "ok"
+
+
+_OPEN_CONNECTION_AT_STOP = textwrap.dedent(
+    """
+    import socket
+
+    import numpy as np
+
+    from repro.service import AsyncServerThread, QueryService
+
+    service = QueryService(seed=1)
+    service.register("d", np.arange(100.0), 5.0)
+    runner = AsyncServerThread(service, port=0, quiet=True).start()
+    sock = socket.create_connection(runner.server.server_address, timeout=5)
+    sock.sendall(b"GET /health HTTP/1.1\\r\\nHost: x\\r\\n\\r\\n")
+    assert sock.recv(65536).startswith(b"HTTP/1.1 200")
+    runner.stop()  # the keep-alive connection is still open
+    assert sock.recv(4096) == b""  # ...and the server closed it
+    sock.close()
+    print("stopped")
+    """
+)
+
+
+class TestAsyncShutdown:
+    def test_stop_with_open_keepalive_connection_is_clean(self):
+        """Stopping the server cancels and awaits its open connections: no
+        "Task was destroyed but it is pending!", no "Event loop is closed"."""
+        env = dict(os.environ)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-c", _OPEN_CONNECTION_AT_STOP],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "stopped"
+        assert completed.stderr == ""
 
 
 class TestFrontendParity:
