@@ -36,7 +36,12 @@ queries covering every interesting outcome:
   an oversized declared body (413), pipelined keep-alive requests, and a
   mid-request disconnect (counted in the front-end stats, not crashed on),
 * offline audit forensics after shutdown: ``repro audit verify`` accepts
-  the intact chain and rejects a copy with a single flipped byte.
+  the intact chain and rejects a copy with a single flipped byte,
+* a restart on the live chain: the clean shutdown sealed it
+  (``<audit_log>.head``), a re-boot resumes it, answers one query and stops,
+  and the chain still verifies with ``seq`` continuing; a boot on a copy
+  whose sealed prefix has one flipped byte exits non-zero with a clean
+  ``tampered`` error.
 
 Fails (exit 1) if any expectation is violated or if the server log contains
 a stack trace.  Run from the repo root::
@@ -182,6 +187,17 @@ def start_server(config: Path, log_path: Path) -> tuple:
     return process, log_handle, url
 
 
+def stop_server(process: subprocess.Popen, log_handle) -> None:
+    """SIGINT takes ``repro serve``'s clean shutdown path (which seals the chain)."""
+    process.send_signal(signal.SIGINT)
+    try:
+        process.wait(timeout=10)
+    except subprocess.TimeoutExpired:
+        process.kill()
+        process.wait()
+    log_handle.close()
+
+
 def drive(url: str, total_queries: int) -> None:
     statuses = {"ok": 0, "refused": 0, "cached": 0, "client_error": 0}
 
@@ -316,7 +332,8 @@ def drive_baseline_kinds(url: str) -> None:
                         {"dataset": "demo", "kind": "mode", "epsilon": 0.1})
     check(status == 400 and error_code(body) == "unknown_kind",
           f"unknown kind not a structured 400: HTTP {status} {body}")
-    check(sorted(body.get("kinds", [])) == sorted(kinds),
+    listed = body.get("error", {}).get("detail", {}).get("kinds", [])
+    check(sorted(listed) == sorted(kinds),
           "400 body kind list drifts from GET /kinds")
 
     # Missing required parameter: clean 400 before any spend.
@@ -511,24 +528,83 @@ def drive_observability(url: str, config_path: Path, document: dict,
           "and bit-exact audit replay all passed")
 
 
-def audit_offline_checks(audit_log: Path, tmp: Path) -> None:
-    """Post-shutdown forensics: the chain verifies; one flipped byte fails."""
+def verify_chain(audit_log: Path) -> dict:
+    """``repro audit verify``'s ``key=value`` report (``records``, ``chain``...)."""
     verify = run_cli("audit", "verify", str(audit_log))
     check(verify.returncode == 0 and "chain=ok" in verify.stdout,
           f"audit verify failed:\n{verify.stdout}{verify.stderr}")
+    return dict(line.split("=", 1) for line in verify.stdout.split() if "=" in line)
 
+
+def flip_epsilon_byte(audit_log: Path) -> bytes:
+    """The log's bytes with one digit of its first epsilon value changed."""
     raw = bytearray(audit_log.read_bytes())
     target = raw.find(b'"epsilon":')
     check(target >= 0, "no epsilon field found in the audit log")
     flip = target + len(b'"epsilon":') + 2
     raw[flip] = ord("9") if raw[flip] != ord("9") else ord("7")
+    return bytes(raw)
+
+
+def audit_offline_checks(audit_log: Path, tmp: Path) -> None:
+    """Post-shutdown forensics: the chain verifies; one flipped byte fails."""
+    verify_chain(audit_log)
     tampered = tmp / "tampered.jsonl"
-    tampered.write_bytes(bytes(raw))
+    tampered.write_bytes(flip_epsilon_byte(audit_log))
     forged = run_cli("audit", "verify", str(tampered))
     check(forged.returncode == 1 and "tampered" in forged.stderr,
           f"flipped byte not detected: rc={forged.returncode} "
           f"{forged.stdout}{forged.stderr}")
     print("audit forensics: intact chain verifies; a flipped byte is detected")
+
+
+def audit_restart_checks(config: Path, document: dict, audit_log: Path,
+                         tmp: Path) -> None:
+    """Re-boot on the sealed chain; then refuse to boot on a tampered copy."""
+    head = audit_log.with_name(audit_log.name + ".head")
+    check(head.exists(), f"clean shutdown left no chain head at {head}")
+    before = verify_chain(audit_log)
+
+    log_path = tmp / "restart.log"
+    process, log_handle, url = start_server(config, log_path)
+    try:
+        check(url is not None, f"restart never came up:\n{log_path.read_text()}")
+        if url is not None:
+            status, body = call(url, "/query",
+                                {"dataset": "demo", "kind": "mean", "epsilon": 0.05})
+            check(status == 200 and body.get("status") == "ok",
+                  f"restarted server did not answer: HTTP {status} {body}")
+    finally:
+        stop_server(process, log_handle)
+    log_text = log_path.read_text()
+    check("Traceback" not in log_text and process.returncode == 0,
+          f"restart exited {process.returncode}:\n{log_text}")
+    after = verify_chain(audit_log)
+    count = int(before.get("records", 0))
+    check(int(after.get("records", 0)) > count,
+          f"restart appended nothing: {before} -> {after}")
+    resumed = json.loads(audit_log.read_text().splitlines()[count])
+    check(resumed["seq"] == count + 1 and resumed["prev"] == before.get("final_hash"),
+          f"restart did not continue the chain: {resumed}")
+
+    tampered = tmp / "tampered_live.jsonl"
+    tampered.write_bytes(flip_epsilon_byte(audit_log))
+    tampered.with_name(tampered.name + ".head").write_bytes(head.read_bytes())
+    forged_document = dict(document, observability=dict(
+        document["observability"], audit_log=str(tampered)))
+    forged_config = tmp / "tampered.json"
+    forged_config.write_text(json.dumps(forged_document, indent=2))
+    try:
+        boot = run_cli("serve", "--config", str(forged_config))
+    except subprocess.TimeoutExpired:
+        check(False, "server booted on a tampered chain")
+        return
+    output = boot.stdout + boot.stderr
+    check(boot.returncode != 0 and "tampered" in boot.stderr
+          and "Traceback" not in output,
+          f"tampered chain boot: rc={boot.returncode}\n{output}")
+    print(f"restart: chain resumed at seq {count + 1} and verifies; "
+          "a tampered sealed prefix refuses to boot")
 
 
 def drive_control_plane(url: str, config_path: Path, document: dict) -> None:
@@ -719,6 +795,7 @@ def main() -> int:
             audit_log = args.audit_log.resolve()
             audit_log.parent.mkdir(parents=True, exist_ok=True)
             audit_log.unlink(missing_ok=True)  # a stale chain would not verify
+            audit_log.with_name(audit_log.name + ".head").unlink(missing_ok=True)
         else:
             audit_log = tmp_path / "audit.jsonl"
         config, document = write_deployment(tmp_path, args.budget,
@@ -737,18 +814,13 @@ def main() -> int:
                 drive_rate_limit(url)
                 drive_protocol_probes(url, args.frontend)
         finally:
-            process.send_signal(signal.SIGINT)
-            try:
-                process.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait()
-            log_handle.close()
+            stop_server(process, log_handle)
         log_text = log_path.read_text()
         check("Traceback" not in log_text,
               f"server log contains a stack trace:\n{log_text}")
         check(process.returncode == 0, f"server exited with {process.returncode}")
         audit_offline_checks(audit_log, tmp_path)
+        audit_restart_checks(config, document, audit_log, tmp_path)
         print("--- server log (tail) ---")
         print("\n".join(log_text.splitlines()[-25:]))
 

@@ -86,6 +86,11 @@ __all__ = [
 #: ``shard_unavailable`` rather than a retry on a non-owning replica.
 _TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
 
+#: The errors a pooled keep-alive connection the shard has already closed
+#: raises before any response: the shard never read the request, so it is
+#: the one failure a retry cannot turn into a second execution.
+_STALE_ERRORS = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+
 #: Idle keep-alive connections retained per shard; beyond this they close.
 _POOL_SIZE = 32
 
@@ -98,10 +103,12 @@ class ShardEndpoint:
     """One shard replica: its address plus a keep-alive connection pool.
 
     Connections are pooled per shard and reused across router handler
-    threads.  A transport failure on a pooled connection is retried once on
-    a fresh one — safe for every surface the router forwards: GETs are
-    reads, and query execution is deterministic and cached, so a replay
-    can only hit the cache or coalesce, never spend twice.
+    threads.  A pooled connection the shard has closed in the meantime
+    fails with a disconnect, reset or broken pipe; only that failure is
+    retried, once, on a fresh connection.  Any other error — a read
+    timeout above all — may mean the shard already has the request, and a
+    ``failed`` outcome commits spend without being cached, so a replay
+    could spend twice: it surfaces as :class:`ShardUnavailable` instead.
     """
 
     def __init__(self, index: int, host: str, port: int, *, timeout: float = 30.0):
@@ -140,8 +147,8 @@ class ShardEndpoint:
         """One forwarded request; returns ``(status, body_bytes)``.
 
         Retries exactly once on a fresh connection when the first attempt
-        used a pooled (possibly stale) one; raises :class:`ShardUnavailable`
-        when the shard is genuinely unreachable.
+        used a pooled connection the shard had already closed; raises
+        :class:`ShardUnavailable` on any other transport error.
         """
         send_headers = {"Connection": "keep-alive", **(headers or {})}
         connection, reused = self._acquire()
@@ -154,7 +161,7 @@ class ShardEndpoint:
                 return response.status, payload
             except _TRANSPORT_ERRORS as exc:
                 connection.close()
-                if attempt == 0 and reused:
+                if attempt == 0 and reused and isinstance(exc, _STALE_ERRORS):
                     connection = http.client.HTTPConnection(
                         self.host, self.port, timeout=self.timeout
                     )
@@ -208,6 +215,9 @@ class _RouterHandler(BaseHTTPRequestHandler):
 
     server: "RouterServer"
     protocol_version = "HTTP/1.1"
+    # The headers and the body go out as two writes; with Nagle on, the
+    # body waits for the client's delayed ACK of the headers (~40 ms).
+    disable_nagle_algorithm = True
 
     # -- plumbing (mirrors the shard front-end's hardening) ------------------
     def _send_json(self, code: int, payload: Dict[str, Any]) -> None:

@@ -22,6 +22,23 @@ Float fidelity: records are serialised with :func:`json.dumps`, whose
 shortest-repr float encoding round-trips ``float`` values exactly — the
 replayed sums accumulate the same IEEE-754 doubles the ledger did, in the
 same order the commits were appended.
+
+Resuming without re-verifying: an :class:`AuditLog` keeps a running
+SHA-256 over every byte it has verified or written, and :meth:`AuditLog.close`
+writes ``<log>.head`` = ``{size, seq, hash, sha256}``.  Opening the log
+trusts that head only if it parses, ``size`` is at most the file's size, and
+the SHA-256 of the file's first ``size`` bytes equals ``sha256``; the chain
+then resumes from ``(seq, hash)`` and only the bytes after ``size`` (what a
+writer that crashed before closing left behind) get the per-record checks.
+Any other outcome verifies every record, with the same errors as
+:func:`verify_audit_log`.  The head is thus a cached verification result
+bound to the exact bytes: a flipped byte, a dropped line, truncation, a
+garbage tail, a torn or corrupt head, or a head copied from another chain
+all fall back to (and fail) the full check.  The one new trust assumption
+is that a head forged to match altered bytes is believed — and forging one
+is no harder than re-hashing the keyless chain itself, which the full check
+already trusts.  ``repro audit verify`` and :func:`replay_spend` ignore the
+head and always verify every record.
 """
 
 from __future__ import annotations
@@ -30,7 +47,7 @@ import hashlib
 import json
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, IO, Iterator, Optional, Tuple, Union
 
@@ -105,14 +122,63 @@ class AuditRecord:
         return document
 
 
+@dataclass(frozen=True)
+class _Head:
+    """A sealed prefix: byte ``size``, last ``seq`` and ``hash``, its SHA-256."""
+
+    size: int
+    seq: int
+    hash: str
+    sha256: str
+
+
+#: The empty prefix: where a log without a binding head is verified from.
+_UNSEALED = _Head(0, 0, GENESIS, hashlib.sha256().hexdigest())
+
+
+def _head_path(path: Path) -> Path:
+    return path.with_name(path.name + ".head")
+
+
+def _sealed_prefix(path: Path) -> Tuple[_Head, Any]:
+    """The head that binds ``path`` and the SHA-256 state over its prefix.
+
+    A head binds when ``<path>.head`` parses, its ``size`` fits the file,
+    and the SHA-256 of the file's first ``size`` bytes equals its
+    ``sha256``; without one, the prefix is empty (:data:`_UNSEALED`).
+    """
+    digest = hashlib.sha256()
+    try:
+        head = _Head(**json.loads(_head_path(path).read_text(encoding="utf-8")))
+        counts = (head.size, head.seq)
+        if any(type(n) is not int or n < 0 for n in counts) or not isinstance(
+            head.hash, str
+        ):
+            raise ValueError("malformed head")
+        remaining = head.size
+        with open(path, "rb") as handle:
+            while remaining:
+                chunk = handle.read(min(remaining, 1 << 20))
+                if not chunk:
+                    raise ValueError("head beyond the end of the log")
+                digest.update(chunk)
+                remaining -= len(chunk)
+        if digest.hexdigest() == head.sha256:
+            return head, digest
+    except (OSError, ValueError, TypeError):
+        pass
+    return _UNSEALED, hashlib.sha256()
+
+
 class AuditLog:
     """Append-only hash-chained JSONL writer (the service's audit sink).
 
-    Opening an existing log *resumes* its chain: the writer replays the file
-    once to recover the last sequence number and hash, so a restarted server
-    extends the same verifiable history.  ``record`` is thread-safe under
-    one lock; each line is flushed as written, so the file is valid JSONL
-    after every event (readers may tail it live).
+    Opening an existing log *resumes* its chain, so a restarted server
+    extends the same verifiable history.  A head that binds (see the module
+    docstring) skips the records it seals; otherwise the file is verified in
+    full.  ``record`` is thread-safe under one lock; each line is flushed as
+    written, so the file is valid JSONL after every event (readers may tail
+    it live).
     """
 
     def __init__(
@@ -126,11 +192,17 @@ class AuditLog:
         self._lock = threading.Lock()
         self._seq = 0
         self._prev = GENESIS
+        self._digest = hashlib.sha256()
         if self._path.exists() and self._path.stat().st_size:
-            for record in _verified_records(self._path):
+            head, self._digest = _sealed_prefix(self._path)
+            self._seq, self._prev = head.seq, head.hash
+            for record in _verified_records(
+                self._path, after=head, digest=self._digest
+            ):
                 self._seq = record.seq
                 self._prev = record.hash
-        self._handle: Optional[IO[str]] = open(self._path, "a", encoding="utf-8")
+        self._handle: Optional[IO[bytes]] = open(self._path, "ab")
+        self._size = self._handle.tell()
 
     @property
     def path(self) -> Path:
@@ -156,10 +228,12 @@ class AuditLog:
             record["prev"] = self._prev
             record["hash"] = _chain_hash(record)
             self._prev = record["hash"]
-            self._handle.write(
-                json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-            )
+            line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+            data = line.encode("utf-8")
+            self._handle.write(data)
             self._handle.flush()
+            self._digest.update(data)
+            self._size += len(data)
             return record
 
     def stats(self) -> Dict[str, Any]:
@@ -176,6 +250,22 @@ class AuditLog:
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None
+                self._seal()
+
+    def _seal(self) -> None:
+        """Write the head that lets the next open skip what is verified.
+
+        A plain write: a torn head fails the digest check and costs the next
+        open one full verification, as does a head that cannot be written.
+        Caller must hold self._lock.
+        """
+        head = _Head(self._size, self._seq, self._prev, self._digest.hexdigest())
+        try:
+            _head_path(self._path).write_text(
+                json.dumps(asdict(head), sort_keys=True) + "\n", encoding="utf-8"
+            )
+        except OSError:
+            pass
 
     def __enter__(self) -> "AuditLog":
         return self
@@ -184,24 +274,34 @@ class AuditLog:
         self.close()
 
 
-def _verified_records(path: Union[str, Path]) -> Iterator[AuditRecord]:
+def _verified_records(
+    path: Union[str, Path],
+    *,
+    after: _Head = _UNSEALED,
+    digest: Any = None,
+) -> Iterator[AuditRecord]:
     """Yield records while verifying the chain; raise :class:`AuditChainError`.
 
     One streaming pass checks, per line: valid JSON object, contiguous
     ``seq`` starting at 1, ``prev`` equal to the predecessor's hash (the
     genesis sentinel first), and the stored ``hash`` equal to the recomputed
-    one.  Any deviation names the offending line.
+    one.  Any deviation names the offending line.  ``after`` starts the pass
+    at the end of a sealed prefix (which holds ``after.seq`` lines);
+    ``digest`` is fed every byte read.
     """
     path = Path(path)
-    prev = GENESIS
-    expected_seq = 1
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
+    prev = after.hash
+    expected_seq = after.seq + 1
+    with open(path, "rb") as handle:
+        handle.seek(after.size)
+        for line_number, raw in enumerate(handle, start=expected_seq):
+            if digest is not None:
+                digest.update(raw)
+            line = raw.strip()
             if not line:
                 raise AuditChainError(f"{path}:{line_number}: blank line in audit log")
             try:
-                record = json.loads(line)
+                record = json.loads(line.decode("utf-8"))
             except ValueError as exc:
                 raise AuditChainError(
                     f"{path}:{line_number}: unparseable record ({exc})"

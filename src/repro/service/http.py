@@ -115,6 +115,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "ServiceServer"
     protocol_version = "HTTP/1.1"
+    # The headers and the body go out as two writes; with Nagle on, the
+    # body waits for the client's delayed ACK of the headers (~40 ms).
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
     def _send_json(

@@ -12,6 +12,8 @@ cluster-level aggregation documents.
 from __future__ import annotations
 
 import json
+import socket
+import threading
 import urllib.error
 import urllib.request
 
@@ -254,6 +256,105 @@ class TestDeadShard:
             assert health["shards"]["unreachable"] == [1]
         finally:
             victim.request = original_request
+
+
+class _RawShard:
+    """A raw-socket shard that counts the requests it reads.
+
+    ``mode="stall"`` answers the first request, then reads every later one
+    and never answers it (a slow cold query, as the router sees it).
+    ``mode="close"`` answers every request and then hangs up, so the
+    router's pooled connection is stale by its next use.
+    """
+
+    RESPONSE = (
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+        b"Content-Length: 2\r\n\r\n{}"
+    )
+
+    def __init__(self, mode: str):
+        self.mode = mode
+        self.requests = 0
+        self._lock = threading.Lock()
+        self._done = threading.Event()
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self.port = self._listener.getsockname()[1]
+        self._thread = threading.Thread(target=self._accept, daemon=True)
+        self._thread.start()
+
+    def _accept(self) -> None:
+        while not self._done.is_set():
+            try:
+                connection, _ = self._listener.accept()
+            except socket.timeout:
+                continue
+            threading.Thread(
+                target=self._serve, args=(connection,), daemon=True
+            ).start()
+
+    def _serve(self, connection: socket.socket) -> None:
+        with connection:
+            buffer = b""
+            while not self._done.is_set():
+                while b"\r\n\r\n" not in buffer:
+                    chunk = connection.recv(65536)
+                    if not chunk:
+                        return
+                    buffer += chunk
+                head, _, buffer = buffer.partition(b"\r\n\r\n")
+                length = 0
+                for line in head.split(b"\r\n")[1:]:
+                    name, _, value = line.partition(b":")
+                    if name.strip().lower() == b"content-length":
+                        length = int(value)
+                while len(buffer) < length:
+                    buffer += connection.recv(65536)
+                buffer = buffer[length:]
+                with self._lock:
+                    self.requests += 1
+                    first = self.requests == 1
+                if self.mode == "stall" and not first:
+                    self._done.wait()
+                    return
+                connection.sendall(self.RESPONSE)
+                if self.mode == "close":
+                    return
+
+    def close(self) -> None:
+        self._done.set()
+        self._thread.join(timeout=5)
+        self._listener.close()
+
+
+class TestShardRetry:
+    def test_read_timeout_is_not_replayed(self):
+        shard = _RawShard("stall")
+        endpoint = ShardEndpoint(0, "127.0.0.1", shard.port, timeout=0.5)
+        try:
+            assert endpoint.request("POST", "/query", b"{}") == (200, b"{}")
+            # The pooled connection is healthy; the shard just never
+            # answers.  It already has the request, so retrying it on a
+            # fresh connection could execute (and spend) it twice.
+            with pytest.raises(ShardUnavailable, match="timed out"):
+                endpoint.request("POST", "/query", b"{}")
+            assert shard.requests == 2
+        finally:
+            endpoint.close()
+            shard.close()
+
+    def test_stale_pooled_connection_is_retried_once(self):
+        shard = _RawShard("close")
+        endpoint = ShardEndpoint(0, "127.0.0.1", shard.port, timeout=5.0)
+        try:
+            assert endpoint.request("GET", "/health") == (200, b"{}")
+            # The shard hung up the idle connection: the retry on a fresh
+            # one is the only request the shard reads.
+            assert endpoint.request("GET", "/health") == (200, b"{}")
+            assert shard.requests == 2
+        finally:
+            endpoint.close()
+            shard.close()
 
 
 class TestFraming:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 
@@ -18,6 +19,7 @@ from repro.obs import (
     span,
     verify_audit_log,
 )
+from repro.obs import audit as audit_module
 from repro.obs.audit import GENESIS
 from repro.obs.trace import accept_trace_id
 
@@ -286,6 +288,159 @@ class TestAuditChain:
         assert report["owners"][""]["spent"] == pytest.approx(
             threads * per_thread * 0.25
         )
+
+
+def _seal_chain(path, count=6, start=0):
+    """Write ``count`` commit records and close (which writes the head)."""
+    with AuditLog(path) as log:
+        for i in range(start, start + count):
+            log.record("commit", dataset="d", kind="mean", epsilon=0.125 * (i + 1))
+    return audit_module._head_path(path)
+
+
+def _same_error(path) -> str:
+    """Opening ``path`` fails exactly as verifying it in full does."""
+    with pytest.raises(AuditChainError) as full:
+        verify_audit_log(path)
+    with pytest.raises(AuditChainError) as resumed:
+        AuditLog(path)
+    assert str(resumed.value) == str(full.value)
+    return str(full.value)
+
+
+def _flip_prefix_byte(path) -> None:
+    text = path.read_text()
+    tampered = text.replace('"epsilon":0.25', '"epsilon":0.35', 1)
+    assert tampered != text
+    path.write_text(tampered)
+
+
+class TestAuditHead:
+    def test_close_seals_the_exact_bytes(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        head_path = _seal_chain(path)
+        head = json.loads(head_path.read_text())
+        data = path.read_bytes()
+        count, final = verify_audit_log(path)
+        assert head == {
+            "size": len(data),
+            "seq": count,
+            "hash": final,
+            "sha256": hashlib.sha256(data).hexdigest(),
+        }
+
+    def test_flipped_byte_in_sealed_prefix(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        _seal_chain(path)
+        _flip_prefix_byte(path)
+        assert "tampered" in _same_error(path)
+
+    def test_dropped_line(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        _seal_chain(path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:2] + lines[3:]))
+        assert "sequence break" in _same_error(path)
+
+    def test_truncation_below_sealed_size(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        _seal_chain(path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - 10])
+        assert "unparseable" in _same_error(path)
+
+    def test_garbage_tail_names_its_line(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        _seal_chain(path, count=6)
+        with open(path, "a") as handle:
+            handle.write("not json\n")
+        message = _same_error(path)
+        assert f"{path}:7: unparseable" in message
+
+    @pytest.mark.parametrize("head_text", ["", "{not json", '{"size": 3}', "[]"])
+    def test_corrupt_head(self, tmp_path, head_text):
+        path = tmp_path / "audit.jsonl"
+        head_path = _seal_chain(path)
+        torn = head_path.read_text()[:20]
+        for text in (head_text, torn):
+            head_path.write_text(text)
+            with AuditLog(path) as log:
+                assert log.record("commit", epsilon=0.5)["seq"] == 7
+            head_path.write_text(text)
+            _flip_prefix_byte(path)
+            assert "tampered" in _same_error(path)
+            path.unlink()
+            _seal_chain(path)
+
+    def test_head_from_another_chain(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        other = tmp_path / "other.jsonl"
+        head_path = _seal_chain(path, count=6)
+        other_head = _seal_chain(other, count=9, start=100)
+        head_path.write_bytes(other_head.read_bytes())
+        with AuditLog(path) as log:
+            assert log.record("commit", epsilon=0.5)["seq"] == 7
+        head_path.write_bytes(other_head.read_bytes())
+        _flip_prefix_byte(path)
+        assert "tampered" in _same_error(path)
+
+    def test_records_after_the_head_resume_and_verify(self, tmp_path):
+        # A writer that crashed before close left records the head does
+        # not seal: they get the per-record checks and the chain goes on.
+        path = tmp_path / "audit.jsonl"
+        head_path = _seal_chain(path, count=6)
+        stale = head_path.read_bytes()
+        _seal_chain(path, count=3, start=6)
+        head_path.write_bytes(stale)
+        with AuditLog(path) as log:
+            record = log.record("commit", epsilon=0.5)
+        assert record["seq"] == 10
+        assert verify_audit_log(path) == (10, record["hash"])
+        assert json.loads(head_path.read_text())["seq"] == 10
+
+    def test_resume_cost_is_the_unsealed_records_only(self, tmp_path, monkeypatch):
+        path = tmp_path / "audit.jsonl"
+        head_path = _seal_chain(path, count=20_000)
+        calls = []
+        original = audit_module._chain_hash
+
+        def counting(record):
+            calls.append(record["seq"])
+            return original(record)
+
+        monkeypatch.setattr(audit_module, "_chain_hash", counting)
+        AuditLog(path).close()
+        assert calls == []
+
+        stale = head_path.read_bytes()
+        with AuditLog(path) as log:
+            for _ in range(3):
+                log.record("commit", epsilon=0.5)
+        head_path.write_bytes(stale)
+        del calls[:]
+        log = AuditLog(path)
+        log.close()
+        assert calls == [20_001, 20_002, 20_003]
+
+        head_path.unlink()
+        del calls[:]
+        AuditLog(path).close()
+        assert len(calls) == 20_003
+
+    def test_verify_and_replay_ignore_the_head(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        head_path = _seal_chain(path)
+        document = json.loads(head_path.read_text())
+        _flip_prefix_byte(path)
+        # A head forged to match the altered bytes is trusted on open, but
+        # the operator's tools still check every record.
+        document["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        head_path.write_text(json.dumps(document))
+        AuditLog(path).close()
+        with pytest.raises(AuditChainError, match="tampered"):
+            verify_audit_log(path)
+        with pytest.raises(AuditChainError, match="tampered"):
+            replay_spend(path)
 
 
 # ---------------------------------------------------------------------------
