@@ -150,10 +150,8 @@ def _sealed_prefix(path: Path) -> Tuple[_Head, Any]:
     digest = hashlib.sha256()
     try:
         head = _Head(**json.loads(_head_path(path).read_text(encoding="utf-8")))
-        counts = (head.size, head.seq)
-        if any(type(n) is not int or n < 0 for n in counts) or not isinstance(
-            head.hash, str
-        ):
+        counts_ok = all(type(n) is int and n >= 0 for n in (head.size, head.seq))
+        if not counts_ok or not isinstance(head.hash, str):
             raise ValueError("malformed head")
         remaining = head.size
         with open(path, "rb") as handle:

@@ -372,6 +372,18 @@ class TestAuditHead:
             path.unlink()
             _seal_chain(path)
 
+    @pytest.mark.parametrize("field, value", [("seq", "6"), ("seq", -1), ("hash", 0)])
+    def test_mistyped_head_is_not_trusted(self, tmp_path, field, value):
+        # Bound to the right bytes, but not a chain position: verify in full.
+        path = tmp_path / "audit.jsonl"
+        head_path = _seal_chain(path)
+        document = json.loads(head_path.read_text())
+        document[field] = value
+        head_path.write_text(json.dumps(document))
+        with AuditLog(path) as log:
+            record = log.record("commit", epsilon=0.5)
+        assert verify_audit_log(path) == (7, record["hash"])
+
     def test_head_from_another_chain(self, tmp_path):
         path = tmp_path / "audit.jsonl"
         other = tmp_path / "other.jsonl"
