@@ -17,27 +17,56 @@ statistics of ranks ``tau ± (4/eps) log(|X| / beta)``.
 
 Rank window
 -----------
-Given sorted data as a :class:`~repro.dataview.SortedMap` (a dataset sketch
-read through its grid, clip and recentre maps), :func:`inverse_sensitivity_quantile`
-builds intervals only for the data ranks within
-``reach = 2 (ln|X| + 750) / eps`` of ``tau``, widened to whole runs of equal
-values, and maps only that slice of the sketch.  The draw is bit-for-bit the
-one over all intervals, for ``1 <= tau <= n``:
+Every release, from a :class:`~repro.dataview.SortedMap` (a dataset sketch
+read through its grid, clip and recentre maps) or from a plain array (sorted
+once into one), draws through :func:`_windowed_quantile`.  It builds the slots
+``gap_0, {v_0}, gap_1, ..., gap_k`` (the integers strictly between distinct
+values, and each value alone) only for the data ranks within
+``reach = 2 (ln|X| + margin) / eps`` of ``tau``, widened to whole runs of
+equal values, and maps only that slice of the sketch.  The draw is bit-for-bit
+the one over all intervals (:func:`exponential_mechanism_over_intervals` on
+:func:`build_quantile_intervals`), for ``1 <= tau <= n``:
 
-* An interval outside the window has score ``s >= reach`` (its data points
-  lie ``>= reach`` ranks from ``tau``) and size ``<= |X|``, so its
-  log-weight ``ln(size) - eps s / 2`` is at most ``-750``.  The maximum
-  log-weight is at least 0 (the ``tau``-th order statistic's singleton has
-  score 0 and size 1) and is attained inside the window, so every outside
-  interval has ``exp(log_weight - max)`` underflow to exactly ``0.0``.
-* The cumulative sum is sequential: the leading zeros sum to ``0.0``, the
-  window's partial sums are then today's exactly, and the trailing zeros
-  leave the total unchanged.  A draw ``u * total >= 0`` never selects a
-  leading interval (its cumulative ``0.0`` is not above the draw), so the
-  chosen index only shifts by the window start.
-* A draw that rounds up to the total selects the domain's last interval,
-  which is rebuilt from the largest value and ``domain_high`` when the
-  window stops short of it.
+* *Weights.*  An interval outside the window has score ``s >= reach`` and
+  size ``<= |X|``, so its log-weight ``ln(size) - eps s / 2`` is at most
+  ``-margin``.  The ``tau``-th order statistic's singleton (score 0, size 1)
+  has log-weight 0, so the maximum is at least 0 and lies inside the window:
+  every window computes the same maximum, and each slot's weight
+  ``exp(log_weight - max)`` has the same bits in every window containing it.
+  An empty gap has size 0, log-weight ``-inf`` and weight exactly ``0.0``,
+  which leaves every sequential partial sum unchanged and can never be picked
+  by ``searchsorted(side="right")``; so empty gaps need not be dropped.
+* *The exact window* (margin 750).  ``exp`` underflows to exactly ``0.0``
+  below ``-745.14``, so every excluded weight is ``0.0``.  The leading zeros
+  of the sequential cumulative sum add up to ``0.0``, the window's partial
+  sums are the reference's bit for bit, and the trailing zeros leave the
+  total unchanged.  A draw ``u * total >= 0`` never selects a leading
+  interval, and one that rounds up to the total selects the domain's last
+  interval, rebuilt from the largest value and ``domain_high``.
+* *The certified window* (margin 60, about 5-10x fewer ranks at service
+  epsilons).  Its excluded weights are no longer zero but at most
+  ``e^-60 (1 + 2^-52) < e^-59`` each, over at most ``2n + 1`` slots.  Let
+  ``c~`` be its cumulative sums, ``T~ = c~[-1] >= 1`` (the maximum's slot
+  weighs 1) and ``c~[-1] := 0`` before the first slot.  The reference's
+  partial sum at the same slot, and its total ``T``, differ from ``c~[k]``
+  and ``T~`` by the excluded mass plus the rounding of two recursive sums of
+  at most ``2n + 1`` nonnegative terms, each within ``(2n)(2^-53) / (1 - (2n)
+  2^-53)`` of the total (Higham, *Accuracy and Stability of Numerical
+  Algorithms*, ch. 4):
+  ``E = (2n + 1) e^-59 + 4 (2n + 1) 2^-53 T~``.  The two products ``u T``
+  and ``u T~`` then differ by at most ``E_D = 2^-50 T~ + 2E`` (``|T - T~| <=
+  E`` plus one rounding of each product; ``2^-50`` also absorbs the
+  rounding of the checks themselves).  With
+  ``k = searchsorted(c~, u T~, side="right")``, if ``u T~`` lies farther
+  than ``E + E_D`` from both ``c~[k - 1]`` and ``c~[k]`` then the reference
+  draw lies strictly between the reference's sums at those two slots, so it
+  picks the same interval.  Otherwise, and whenever the draw reaches ``T~``,
+  the same ``u`` is resolved over the exact window.  At 100k records a
+  random draw lands that close to a boundary with probability about
+  ``1e-10``.
+* *Generator.*  Both branches take one ``random()`` before the window is
+  certified, then ``integers`` inside the chosen interval only when it holds
+  more than one integer: exactly the reference's consumption.
 """
 
 from __future__ import annotations
@@ -53,9 +82,13 @@ from repro.accounting import PrivacyLedger, validate_beta, validate_epsilon
 from repro.dataview import SortedMap
 from repro.exceptions import DomainError, InsufficientDataError
 
-#: ``exp(x)`` is exactly 0.0 in binary64 for every ``x < -745.14``; the rank
-#: window keeps every interval whose log-weight can lie above ``-750``.
+#: ``exp(x)`` is exactly 0.0 in binary64 for every ``x < -745.14``; the exact
+#: rank window keeps every interval whose log-weight can lie above ``-750``.
 _UNDERFLOW_MARGIN = 750.0
+#: The certified window keeps every interval whose log-weight can lie above
+#: ``-60``; each one it leaves out weighs at most ``_EXCLUDED_WEIGHT``.
+_NARROW_MARGIN = 60.0
+_EXCLUDED_WEIGHT = math.exp(-59.0)
 
 __all__ = [
     "QuantileInterval",
@@ -122,26 +155,22 @@ def _interval_arrays(
     tau: int,
     domain_low: int,
     domain_high: int,
-    below: int = 0,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ``(lows, highs, scores)`` runs tiling ``[domain_low, domain_high]``.
 
-    ``values`` is ascending int64 data.  ``below`` counts further data points
-    lying strictly below the domain: the ranks before ``values`` when it is
-    a rank window of the dataset.  (Points above it never enter a score.)
+    ``values`` is ascending int64 data.
     """
     m = int(values.size)
     if not m:
         lows = np.asarray([domain_low], dtype=np.int64)
         highs = np.asarray([domain_high], dtype=np.int64)
-        rank = np.asarray([below], dtype=np.int64)
+        rank = np.zeros(1, dtype=np.int64)
         return lows, highs, np.maximum(0, np.maximum(rank - (tau - 1), tau - rank))
     # Runs of equal values: the i-th distinct value unique[i] occupies ranks
-    # [starts[i], ends[i]) of the whole dataset.
+    # [starts[i], ends[i]).
     starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
     unique = values[starts]
-    starts = starts + below
-    ends = np.append(starts[1:], below + m)
+    ends = np.append(starts[1:], m)
     # Candidate segments: for each distinct value, the gap of integers
     # strictly before it and the singleton {v}; finally the gap after the last
     # value.  The gap before unique[i] starts one past unique[i-1] (or at
@@ -161,11 +190,11 @@ def _interval_arrays(
     below_counts = np.empty(2 * k + 1, dtype=np.int64)
     below_counts[0:-1:2] = starts
     below_counts[1::2] = starts
-    below_counts[-1] = below + m
+    below_counts[-1] = m
     at_or_below = np.empty(2 * k + 1, dtype=np.int64)
     at_or_below[0:-1:2] = starts
     at_or_below[1::2] = ends
-    at_or_below[-1] = below + m
+    at_or_below[-1] = m
     # Score max(0, below - (tau - 1), tau - (n - above)), where n - above
     # counts the points at or below the segment.
     scores = np.maximum(
@@ -197,8 +226,10 @@ def _quantile_interval_arrays(
     return _interval_arrays(values, tau, domain_low, domain_high)
 
 
-def _rank_window(values: SortedMap, tau: int, epsilon: float, domain_size: int) -> Tuple[int, int]:
-    """``[start, stop)``: the ranks whose intervals can carry nonzero weight.
+def _rank_window(
+    values: SortedMap, tau: int, epsilon: float, domain_size: int, margin: float
+) -> Tuple[int, int]:
+    """``[start, stop)``: the ranks whose intervals can weigh above ``e^-margin``.
 
     Every interval outside it scores at least ``reach`` (see the module
     docstring), and both ends fall on boundaries between runs of equal
@@ -208,12 +239,99 @@ def _rank_window(values: SortedMap, tau: int, epsilon: float, domain_size: int) 
     n = len(values)
     if not 1 <= tau <= n:
         return 0, n
-    reach = 2.0 * (math.log(domain_size) + _UNDERFLOW_MARGIN) / epsilon
+    reach = 2.0 * (math.log(domain_size) + margin) / epsilon
     first = math.floor(tau - reach) - 1
     last = math.ceil(tau - 1 + reach) + 1
     start = 0 if first <= 0 else values.count_lt(values.at(first))
     stop = n if last >= n else values.count_le(values.at(last - 1))
     return start, stop
+
+
+def _window_slots(
+    values: SortedMap,
+    tau: int,
+    domain_low: int,
+    domain_high: int,
+    epsilon: float,
+    margin: float,
+) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    """The rank window's slots: ``(cumulative, unique, low, high)``.
+
+    Slot ``2i`` is the gap of integers before ``unique[i]``, slot ``2i + 1``
+    the singleton ``{unique[i]}``, and the last slot the gap after the last
+    value; ``[low, high]`` is the stretch of the domain they tile.
+    ``cumulative`` holds the sequential partial sums of the slot weights
+    ``exp(ln(size) - (eps / 2) score - max)``, computed straight from the run
+    boundaries in the reference's expression order.
+    """
+    n = len(values)
+    start, stop = _rank_window(
+        values, tau, epsilon, domain_high - domain_low + 1, margin
+    )
+    window = np.asarray(values.take(start, stop), dtype=np.int64)
+    low = domain_low if start == 0 else int(values.at(start - 1)) + 1
+    high = domain_high if stop == n else int(window[-1])
+    if window.size:
+        starts = np.flatnonzero(np.concatenate(([True], window[1:] != window[:-1])))
+        unique = window[starts]
+        gaps = np.empty(unique.size + 1)
+        gaps[0] = unique[0] - low
+        gaps[1:-1] = np.diff(unique) - 1
+        gaps[-1] = high - unique[-1]
+    else:
+        starts = unique = window
+        gaps = np.asarray([float(high - low + 1)])
+    # Data points below each gap (and below each singleton, whose successor
+    # gap's count is the points at or below it).
+    ranks = np.append(starts, window.size) + start
+    half_eps = 0.5 * epsilon
+    log_weights = np.empty(2 * unique.size + 1)
+    with np.errstate(divide="ignore"):
+        # An empty gap: ln(0) = -inf, weight exactly 0.0.
+        log_weights[0::2] = np.log(gaps) - half_eps * np.maximum(
+            0, np.maximum(ranks - (tau - 1), tau - ranks)
+        )
+    # A singleton: ln(1) = 0.
+    log_weights[1::2] = 0.0 - half_eps * np.maximum(
+        0, np.maximum(ranks[:-1] - (tau - 1), tau - ranks[1:])
+    )
+    log_weights -= log_weights.max()
+    return np.cumsum(np.exp(log_weights)), unique, low, high
+
+
+def _slot_interval(unique: np.ndarray, low: int, high: int, slot: int) -> Tuple[int, int]:
+    """``(low, high)`` of one slot of :func:`_window_slots`."""
+    i, singleton = divmod(slot, 2)
+    if singleton:
+        value = int(unique[i])
+        return value, value
+    return (
+        low if i == 0 else int(unique[i - 1]) + 1,
+        high if i == unique.size else int(unique[i]) - 1,
+    )
+
+
+def _exact_interval(
+    values: SortedMap,
+    tau: int,
+    domain_low: int,
+    domain_high: int,
+    epsilon: float,
+    u: float,
+) -> Tuple[int, int]:
+    """The reference's interval for the draw ``u``, over the exact window."""
+    cumulative, unique, low, high = _window_slots(
+        values, tau, domain_low, domain_high, epsilon, _UNDERFLOW_MARGIN
+    )
+    slot = int(np.searchsorted(cumulative, u * float(cumulative[-1]), side="right"))
+    if slot < cumulative.size:
+        return _slot_interval(unique, low, high, slot)
+    # A draw rounded up to the total: the domain's last interval, the gap
+    # after the largest value or that value alone.
+    if not len(values):
+        return domain_low, domain_high
+    largest = int(values.ends()[1])
+    return (largest + 1, domain_high) if largest < domain_high else (largest, largest)
 
 
 def _windowed_quantile(
@@ -224,25 +342,32 @@ def _windowed_quantile(
     epsilon: float,
     generator: np.random.Generator,
 ) -> int:
-    """INV over the rank window of the sorted int64 images of ``values``."""
+    """INV over the certified rank window of the sorted int64 ``values``."""
     n = len(values)
     low_end, high_end = (int(v) for v in values.ends()) if n else (0, 0)
     _check_domain(low_end, high_end, n, domain_low, domain_high)
-    start, stop = _rank_window(values, tau, epsilon, domain_high - domain_low + 1)
-    window = np.asarray(values.take(start, stop), dtype=np.int64)
-    lows, highs, scores = _interval_arrays(
-        window,
-        tau,
-        domain_low if start == 0 else int(values.at(start - 1)) + 1,
-        domain_high if stop == n else int(window[-1]),
-        below=start,
+    cumulative, unique, low, high = _window_slots(
+        values, tau, domain_low, domain_high, epsilon, _NARROW_MARGIN
     )
-    last = None
-    if stop < n:
-        # The domain's last interval, which a draw rounded up to the total
-        # picks: the gap after the largest value, or that value alone.
-        last = (high_end + 1, domain_high) if high_end < domain_high else (high_end, high_end)
-    return _sample_over_interval_arrays(lows, highs, scores, epsilon, generator, last)
+    u = generator.random()
+    total = float(cumulative[-1])
+    draw = u * total
+    slot = int(np.searchsorted(cumulative, draw, side="right"))
+    error = (2 * n + 1) * (_EXCLUDED_WEIGHT + 4 * 2.0**-53 * total)
+    slack = error + (2.0**-50 * total + 2 * error)
+    before = float(cumulative[slot - 1]) if slot else 0.0
+    if (
+        slot < cumulative.size
+        and draw - before > slack
+        and float(cumulative[slot]) - draw > slack
+    ):
+        low, high = _slot_interval(unique, low, high, slot)
+    else:
+        low, high = _exact_interval(values, tau, domain_low, domain_high, epsilon, u)
+    size = high - low + 1
+    if size == 1:
+        return low
+    return low + int(generator.integers(0, size))
 
 
 def build_quantile_intervals(
@@ -278,7 +403,6 @@ def _sample_over_interval_arrays(
     scores: np.ndarray,
     epsilon: float,
     generator: np.random.Generator,
-    last: Optional[Tuple[int, int]] = None,
 ) -> int:
     """Two-stage exponential-mechanism sampling over ``(lows, highs, scores)`` runs.
 
@@ -289,8 +413,7 @@ def _sample_over_interval_arrays(
     whenever float rounding across many intervals leaves the sum off by more
     than its tolerance.  Inversion needs no normalisation at all, so it cannot
     flake at large interval counts.  A draw that rounds up to the total
-    takes the last interval: the arrays' own, or ``last`` ``(low, high)``
-    when the arrays are a window that stops short of the domain's end.
+    takes the last interval.
     """
     sizes = highs - lows + 1
     if np.any(sizes < 1):
@@ -307,10 +430,8 @@ def _sample_over_interval_arrays(
     index = int(np.searchsorted(cumulative, draw, side="right"))
     if index < lows.size:
         low, high = int(lows[index]), int(highs[index])
-    elif last is None:
-        low, high = int(lows[-1]), int(highs[-1])
     else:
-        low, high = last
+        low, high = int(lows[-1]), int(highs[-1])
     size = high - low + 1
     if size == 1:
         return low
@@ -395,21 +516,18 @@ def inverse_sensitivity_quantile(
 
     This is the raw mechanism without Algorithm 2's rank clamping; callers
     that need the Lemma 2.8 guarantee should use :func:`finite_domain_quantile`.
-    A :class:`~repro.dataview.SortedMap` of ascending ints (a dataset sketch
-    read through its grid maps) builds only the rank window's intervals;
-    any other input is sorted and gets every interval.  Both draw the same
-    value from the same generator state.
+    ``sorted_values`` is a :class:`~repro.dataview.SortedMap` of ascending
+    ints (a dataset sketch read through its grid maps), whose rank window
+    alone is read, or any other ints, which are sorted first.  Either way the
+    draw is the one over every interval, from the same generator state.
     """
     epsilon = validate_epsilon(epsilon)
     generator = resolve_rng(rng)
-    if isinstance(sorted_values, SortedMap):
-        return _windowed_quantile(
-            sorted_values, tau, int(domain_low), int(domain_high), epsilon, generator
-        )
-    lows, highs, scores = _quantile_interval_arrays(
-        sorted_values, tau, domain_low, domain_high
+    if not isinstance(sorted_values, SortedMap):
+        sorted_values = SortedMap(np.sort(np.asarray(sorted_values, dtype=np.int64)))
+    return _windowed_quantile(
+        sorted_values, tau, int(domain_low), int(domain_high), epsilon, generator
     )
-    return _sample_over_interval_arrays(lows, highs, scores, epsilon, generator)
 
 
 def _round_to_int(values: np.ndarray) -> np.ndarray:
@@ -473,7 +591,11 @@ def finite_domain_quantile(
         ledger.charge(label, epsilon)
 
     # rint is monotone, so sorted data stays sorted after snapping.
-    sorted_ints = data.then(_round_to_int) if isinstance(data, SortedMap) else _round_to_int(data)
+    sorted_ints = (
+        data.then(_round_to_int)
+        if isinstance(data, SortedMap)
+        else SortedMap(_round_to_int(data))
+    )
     return inverse_sensitivity_quantile(
         sorted_ints,
         tau_prime,

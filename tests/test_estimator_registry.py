@@ -5,6 +5,8 @@ Three families of checks:
 * **Pre-refactor parity** — the five built-in kinds must reproduce the
   recorded pre-registry :class:`QueryService` answers (cache keys *and*
   values) bit for bit; the registry is a refactor, not a behaviour change.
+  Likewise ``iqr`` and ``quantile`` answers at n = 100k, recorded before the
+  certified narrow rank window, at ``workers=1`` and ``workers=2``.
 * **Conformance per spec** — for *every* registered kind (including each
   ``baseline.*`` adapter): the reservation is an upper bound on the
   committed ledger spend, a dataset below ``min_records`` is refused before
@@ -42,6 +44,8 @@ from repro.exceptions import DomainError
 from repro.service import Query, QueryRequest, QueryService
 
 PARITY_FIXTURE = Path(__file__).parent / "data" / "service_parity.json"
+#: Answers at n = 100k, where the quantile draws use narrow rank windows.
+LARGE_PARITY_FIXTURE = Path(__file__).parent / "data" / "service_parity_large.json"
 
 #: One spare worker pool shared by the parity checks of every kind.
 POOL_WORKERS = 2
@@ -93,6 +97,34 @@ class TestPreRefactorParity:
             answer = service.submit(
                 QueryRequest(dataset=record["dataset"], query=query)
             )
+            assert answer.ok, answer
+            assert answer.key == record["key"]
+            value = (
+                list(answer.value)
+                if isinstance(answer.value, tuple)
+                else answer.value
+            )
+            assert value == record["value"]
+            assert answer.epsilon_charged == record["epsilon_charged"]
+
+
+    @pytest.mark.parametrize("workers", [1, POOL_WORKERS])
+    def test_recorded_large_answers_reproduced_bit_for_bit(self, workers, pool):
+        doc = json.loads(LARGE_PARITY_FIXTURE.read_text())
+        seed = doc["seed"]
+        data = np.random.default_rng(seed).normal(50.0, 10.0, size=doc["records"])
+        use_pool = workers > 1
+        service = QueryService(seed=seed, pool=pool if use_pool else None)
+        service.register("big", data, 100.0, share=use_pool)
+        requests = [
+            QueryRequest(dataset=record["dataset"], query=Query.from_json(record["query"]))
+            for record in doc["answers"]
+        ]
+        try:
+            answers = service.submit_many(requests)
+        finally:
+            service.registry.close()
+        for record, answer in zip(doc["answers"], answers):
             assert answer.ok, answer
             assert answer.key == record["key"]
             value = (

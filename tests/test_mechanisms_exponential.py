@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.accounting import PrivacyLedger
 from repro.dataview import DatasetView, SortedMap
+from repro.mechanisms import exponential
 from repro.empirical import estimate_empirical_quantile, estimate_range
 from repro.exceptions import DomainError, InsufficientDataError
 from repro.mechanisms.exponential import (
@@ -338,19 +339,27 @@ def _window_cases(draw):
 
 
 class TestRankWindowEquivalence:
-    """The rank-window sampler draws exactly what the all-intervals one does."""
+    """The rank-window sampler draws exactly what the all-intervals one does,
+    from a sorted map or from a plain array in any order."""
 
     @staticmethod
     def _both(values, tau, low, high, epsilon, make_generator):
-        windowed_rng, reference_rng = make_generator(), make_generator()
+        windowed_rng, plain_rng, reference_rng = (
+            make_generator(), make_generator(), make_generator()
+        )
         windowed = inverse_sensitivity_quantile(
             SortedMap(values), tau, low, high, epsilon, windowed_rng
+        )
+        shuffled = np.random.default_rng(tau).permutation(values)
+        plain = inverse_sensitivity_quantile(
+            shuffled, tau, low, high, epsilon, plain_rng
         )
         reference = exponential_mechanism_over_intervals(
             build_quantile_intervals(values, tau, low, high), epsilon, reference_rng
         )
-        assert windowed == reference
+        assert windowed == plain == reference
         assert windowed_rng.bit_generator.state == reference_rng.bit_generator.state
+        assert plain_rng.bit_generator.state == reference_rng.bit_generator.state
         return windowed
 
     @given(case=_window_cases(), seed=st.integers(0, 2**32 - 1))
@@ -375,12 +384,102 @@ class TestRankWindowEquivalence:
         draw = self._both(values, 10, 0, 9_000, 5.0, lambda: _FixedDraw(1.0))
         assert 5_000 <= draw <= 9_000
 
+    def test_empty_data_draws_over_the_whole_domain(self):
+        for value in (0.0, 0.5, _TOP_DRAW, 1.0):
+            draw = self._both(
+                np.empty(0, dtype=np.int64), 1, -3, 9, 0.7, lambda: _FixedDraw(value)
+            )
+            assert -3 <= draw <= 9
+
     def test_out_of_domain_data_rejected_alike(self):
         with pytest.raises(DomainError) as reference:
             build_quantile_intervals([100], 1, 0, 10)
         with pytest.raises(DomainError) as windowed:
             inverse_sensitivity_quantile(SortedMap([100]), 1, 0, 10, 1.0, 0)
         assert str(windowed.value) == str(reference.value)
+
+
+def _count_fallbacks(monkeypatch):
+    """Count the certified window's fallbacks to the exact window."""
+    calls = []
+    exact = exponential._exact_interval
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(exponential, "_exact_interval", counted)
+    return calls
+
+
+#: n = 20k ints with ties, spread so that per-call epsilons of 0.02-0.07
+#: give certified windows of 4k-15k ranks (the exact window is all of them).
+_SWEEP_VALUES = np.sort(
+    np.rint(np.random.default_rng(20).normal(0.0, 3000.0, 20_000)).astype(np.int64)
+)
+_SWEEP_DOMAIN = (-(2**20), 2**20)
+
+
+class TestCertifiedWindow:
+    """The narrow window's pick is certified, else resolved exactly."""
+
+    def test_boundary_draws_fall_back_and_match(self, monkeypatch):
+        values = _SWEEP_VALUES
+        low, high = _SWEEP_DOMAIN
+        tau, epsilon = 9_000, 0.05
+        sketch = SortedMap(values)
+        cumulative, unique, _, _ = exponential._window_slots(
+            sketch, tau, low, high, epsilon, exponential._NARROW_MARGIN
+        )
+        # The window really is narrow, with room on both sides.
+        assert values[0] < unique[0] and unique[-1] < values[-1]
+        total = cumulative[-1]
+        tau_slot = 2 * int(np.searchsorted(unique, values[tau - 1])) + 1
+        edges = [0.0, cumulative[0], cumulative[-2], total]
+        at_tau = [cumulative[tau_slot - 1], cumulative[tau_slot]]
+        # The first draw above 0 lands, in the reference, inside the tail of
+        # tiny weights left of the window.
+        draws = [float(np.nextafter(0.0, 1.0))]
+        for edge in edges + at_tau:
+            u = float(edge / total)
+            draws += [u] + ([float(np.nextafter(u, 0.0))] if u > 0 else [])
+        calls = _count_fallbacks(monkeypatch)
+        for u in draws:
+            TestRankWindowEquivalence._both(
+                values, tau, low, high, epsilon, lambda: _FixedDraw(u)
+            )
+        # Each draw ran three times (sorted map, plain array, reference);
+        # the two INV calls fell back every time.
+        assert len(calls) == 2 * len(draws)
+
+    def test_random_draws_never_fall_back(self, monkeypatch):
+        values = _SWEEP_VALUES
+        low, high = _SWEEP_DOMAIN
+        sketch = SortedMap(values)
+        calls = _count_fallbacks(monkeypatch)
+        draws = 0
+        for epsilon in np.linspace(0.02, 0.07, 5):
+            for tau in (2_500, 10_000, 17_500):
+                lows, highs, scores = exponential._quantile_interval_arrays(
+                    values, tau, low, high
+                )
+                for seed in range(34):
+                    windowed_rng = np.random.default_rng([seed, tau])
+                    reference_rng = np.random.default_rng([seed, tau])
+                    windowed = inverse_sensitivity_quantile(
+                        sketch, tau, low, high, epsilon, windowed_rng
+                    )
+                    reference = exponential._sample_over_interval_arrays(
+                        lows, highs, scores, epsilon, reference_rng
+                    )
+                    assert windowed == reference
+                    assert (
+                        windowed_rng.bit_generator.state
+                        == reference_rng.bit_generator.state
+                    )
+                    draws += 1
+        assert draws >= 500
+        assert calls == []
 
 
 class TestSketchPathErrors:
