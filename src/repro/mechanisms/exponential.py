@@ -353,6 +353,7 @@ def _windowed_quantile(
     total = float(cumulative[-1])
     draw = u * total
     slot = int(np.searchsorted(cumulative, draw, side="right"))
+    # E and E + E_D of the module docstring.
     error = (2 * n + 1) * (_EXCLUDED_WEIGHT + 4 * 2.0**-53 * total)
     slack = error + (2.0**-50 * total + 2 * error)
     before = float(cumulative[slot - 1]) if slot else 0.0
