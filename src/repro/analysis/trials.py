@@ -18,13 +18,7 @@ Three entry points are provided:
 All are thin layers over :mod:`repro.engine`: each trial gets its own child
 generator derived from the base seed, so estimates are bit-for-bit identical
 for ``workers=1`` and ``workers=N``, independent of how cells are scheduled,
-and a failed trial never shifts the randomness of later trials.  Pass
-``rng_policy="shared"`` (serial only) to reproduce the legacy *trial-loop*
-behaviour where every trial consumed one shared stream.  Note that this
-freezes only how the loop feeds randomness to trials — the estimators and
-mechanisms underneath may change how much randomness they draw between
-versions, so bitwise reproduction of historical numbers additionally requires
-the same library version.
+and a failed trial never shifts the randomness of later trials.
 """
 
 from __future__ import annotations
@@ -34,7 +28,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._rng import RngLike, resolve_rng
+from repro._rng import RngLike
 from repro.analysis.metrics import ErrorSummary, summarize_errors
 from repro.distributions.base import Distribution
 from repro.engine import GridCell, TrialFailure, run_batch, run_grid
@@ -56,9 +50,6 @@ __all__ = [
 EstimatorFn = Callable[[np.ndarray, np.random.Generator], float]
 #: Signature of a data generator: (rng) -> dataset.
 DataFn = Callable[[np.random.Generator], np.ndarray]
-
-#: Accepted values for the ``rng_policy`` argument of :func:`run_trials`.
-_RNG_POLICIES = ("per-trial", "shared")
 
 
 class _DataGenerationError(Exception):
@@ -96,38 +87,6 @@ class TrialResult:
         return float(np.mean(self.estimates)) if self.estimates.size else float("nan")
 
 
-def _run_shared_stream(
-    estimator: EstimatorFn,
-    data_generator: DataFn,
-    trials: int,
-    rng: RngLike,
-    allow_failures: bool,
-) -> Tuple[list, list]:
-    """Legacy serial loop: every trial consumes one shared random stream.
-
-    The loop itself is kept bit-for-bit identical to the pre-engine
-    implementation (same stream, same consumption order); reproducing
-    historical numbers exactly also requires the estimator's own randomness
-    consumption to be unchanged.  Note the policy's documented flaw: a failed
-    trial leaves the shared stream at a different point, shifting every later
-    trial.
-    """
-    generator = resolve_rng(rng)
-    estimates: list = []
-    failures: list = []
-    for index in range(trials):
-        data = data_generator(generator)
-        try:
-            estimates.append(float(estimator(data, generator)))
-        except MechanismError as exc:
-            if not allow_failures:
-                raise
-            failures.append(
-                TrialFailure(index=index, error=type(exc).__name__, message=str(exc))
-            )
-    return estimates, failures
-
-
 def _make_trial_fn(estimator: EstimatorFn, data_generator: DataFn) -> Callable:
     """The engine trial body shared by the batch and grid paths."""
 
@@ -135,10 +94,9 @@ def _make_trial_fn(estimator: EstimatorFn, data_generator: DataFn) -> Callable:
         try:
             data = data_generator(generator)
         except MechanismError as exc:
-            # Only the *estimator* call is a trial failure (matching the
-            # legacy loop and the "shared" policy); a MechanismError from
-            # the data generator must propagate even under allow_failures,
-            # so smuggle it past the engine's catch.
+            # Only the *estimator* call is a trial failure; a MechanismError
+            # from the data generator must propagate even under
+            # allow_failures, so smuggle it past the engine's catch.
             raise _DataGenerationError(exc) from exc
         return float(estimator(data, generator))
 
@@ -174,7 +132,6 @@ def run_trials(
     *,
     allow_failures: bool = False,
     workers: int = 1,
-    rng_policy: str = "per-trial",
     pool=None,
 ) -> TrialResult:
     """Run ``trials`` independent (data, estimate) repetitions.
@@ -197,47 +154,24 @@ def run_trials(
     workers:
         Process count handed to :func:`repro.engine.run_batch`; estimates are
         identical for any value given the same seed.
-    rng_policy:
-        ``"per-trial"`` (default) derives an independent child generator per
-        trial; ``"shared"`` reproduces the legacy single-stream trial loop
-        (see the module docstring for the scope of that guarantee) and
-        requires ``workers=1``.
     pool:
         Optional open :class:`~repro.engine.EnginePool`; lets many trial runs
         share one set of forked workers.
     """
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
-    if rng_policy not in _RNG_POLICIES:
-        raise DomainError(
-            f"rng_policy must be one of {_RNG_POLICIES}, got {rng_policy!r}"
+    try:
+        batch = run_batch(
+            _make_trial_fn(estimator, data_generator),
+            trials,
+            rng,
+            workers=workers,
+            allow_failures=allow_failures,
+            pool=pool,
         )
-
-    if rng_policy == "shared":
-        if workers != 1 or pool is not None:
-            raise DomainError(
-                "rng_policy='shared' is a serial compatibility mode; use "
-                "rng_policy='per-trial' for workers > 1"
-            )
-        estimates, failure_records = _run_shared_stream(
-            estimator, data_generator, trials, rng, allow_failures
-        )
-    else:
-        try:
-            batch = run_batch(
-                _make_trial_fn(estimator, data_generator),
-                trials,
-                rng,
-                workers=workers,
-                allow_failures=allow_failures,
-                pool=pool,
-            )
-        except _DataGenerationError as wrapper:
-            raise wrapper.original
-        estimates = list(batch.results)
-        failure_records = list(batch.failures)
-
-    return _finalise(estimates, failure_records, truth, trials)
+    except _DataGenerationError as wrapper:
+        raise wrapper.original
+    return _finalise(list(batch.results), list(batch.failures), truth, trials)
 
 
 def _statistical_truth(distribution: Distribution, parameter: str) -> float:
@@ -263,7 +197,6 @@ def run_statistical_trials(
     *,
     allow_failures: bool = False,
     workers: int = 1,
-    rng_policy: str = "per-trial",
     pool=None,
 ) -> TrialResult:
     """Statistical-setting trials: fresh i.i.d. samples from ``distribution``.
@@ -281,7 +214,7 @@ def run_statistical_trials(
         Sample size per trial.
     trials:
         Number of repetitions.
-    workers, rng_policy, pool:
+    workers, pool:
         Forwarded to :func:`run_trials` / the engine.
     """
     truth = _statistical_truth(distribution, parameter)
@@ -297,7 +230,6 @@ def run_statistical_trials(
         rng,
         allow_failures=allow_failures,
         workers=workers,
-        rng_policy=rng_policy,
         pool=pool,
     )
 

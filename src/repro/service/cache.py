@@ -84,12 +84,12 @@ class AnswerCache:
     def peek(self, key: str) -> Optional[Any]:
         """Probe for ``key``: count a hit when present, count *nothing* on absence.
 
-        The probe semantics of the service's fast path: a present answer is a
-        real, served hit (counted and LRU-refreshed, atomically); an absent
-        one is not a miss yet — the caller counts it via :meth:`record_miss`
-        (probe-answered refusals/invalids) or through the full submission's
-        own lookup, keeping ``hits + misses`` equal to the number of
-        answered lookups.
+        The lookup of the service's admission decision: a present answer is
+        a real, served hit (counted and LRU-refreshed, atomically); an
+        absent one is not a miss yet — the caller counts it via
+        :meth:`record_miss` once it knows the request is answered without
+        a further lookup, keeping ``hits + misses`` equal to the number of
+        answered requests.
         """
         with self._lock:
             if key in self._entries:
@@ -99,13 +99,7 @@ class AnswerCache:
             return None
 
     def record_miss(self) -> None:
-        """Count a miss for a probe resolved without a follow-up lookup.
-
-        Used when a :meth:`peek` probe came up empty and the request is then
-        answered without any further cache access (a refusal or an invalid
-        answer on the fast path) — mirrors the miss the submission path
-        counts for the same outcome.
-        """
+        """Count the miss of a :meth:`peek` that came up empty."""
         with self._lock:
             self._misses += 1
 

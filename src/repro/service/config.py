@@ -73,16 +73,12 @@ The TOML grammar (JSON mirrors the same structure)::
 
 Inline data (``values = [1.0, 2.0, ...]``) is accepted in place of
 ``source`` — handy for tests and tiny demos.
-
-TOML parsing uses :mod:`tomllib` (Python 3.11+).  On 3.10 a small built-in
-parser covering exactly the grammar above (tables, arrays of tables,
-strings / numbers / booleans / single-line arrays, ``#`` comments) keeps the
-feature available without any new dependency.
 """
 
 from __future__ import annotations
 
 import json
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
@@ -94,11 +90,6 @@ from repro.service.cache import AnswerCache
 from repro.service.executor import QueryService
 from repro.service.http import DEFAULT_MAX_BODY
 from repro.service.qos import LimitSpec, RateLimiter, RateLimits
-
-try:  # Python 3.11+
-    import tomllib as _tomllib
-except ImportError:  # pragma: no cover - exercised on 3.10 only
-    _tomllib = None
 
 __all__ = [
     "AdminConfig",
@@ -639,15 +630,12 @@ def load_serving_document(path: Any) -> Dict[str, Any]:
         except json.JSONDecodeError as exc:
             raise DomainError(f"serving config {path} is not valid JSON: {exc}") from exc
     elif suffix == ".toml":
-        if _tomllib is not None:
-            try:
-                document = _tomllib.loads(text)
-            except _tomllib.TOMLDecodeError as exc:
-                raise DomainError(
-                    f"serving config {path} is not valid TOML: {exc}"
-                ) from exc
-        else:  # pragma: no cover - Python 3.10 fallback
-            document = _parse_toml_subset(text, str(path))
+        try:
+            document = tomllib.loads(text)
+        except tomllib.TOMLDecodeError as exc:
+            raise DomainError(
+                f"serving config {path} is not valid TOML: {exc}"
+            ) from exc
     else:
         raise DomainError(
             f"serving config must be a .toml or .json file, got {path.name!r}"
@@ -923,82 +911,3 @@ def build_service(config: ServingConfig, *, pool: Any = None) -> BuiltService:
         audit=audit,
         coordinator=coordinator,
     )
-
-
-# ---------------------------------------------------------------------------
-# minimal TOML-subset parser (Python 3.10, where tomllib is unavailable)
-
-
-def _parse_toml_value(text: str, where: str) -> Any:
-    text = text.strip()
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_toml_value(item, where) for item in inner.split(",")]
-    if text in ("true", "false"):
-        return text == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise DomainError(f"serving config {where}: cannot parse value {text!r}") from None
-
-
-def _strip_toml_comment(line: str) -> str:
-    in_string = False
-    for index, char in enumerate(line):
-        if char == '"' and (index == 0 or line[index - 1] != "\\"):
-            in_string = not in_string
-        elif char == "#" and not in_string:
-            return line[:index]
-    return line
-
-
-def _parse_toml_subset(text: str, where: str) -> Dict[str, Any]:
-    """Parse the documented config grammar (used only when tomllib is absent).
-
-    Supports ``[table.path]``, ``[[array.of.tables]]`` and
-    ``key = string | number | boolean | single-line array`` with ``#``
-    comments — exactly the shapes the module docstring documents.
-    """
-    root: Dict[str, Any] = {}
-    current: Dict[str, Any] = root
-
-    def descend(path: List[str], *, as_array: bool) -> Dict[str, Any]:
-        node: Any = root
-        for part in path[:-1]:
-            node = node.setdefault(part, {})
-            if isinstance(node, list):  # sub-table of the last array element
-                node = node[-1]
-        leaf = path[-1]
-        if as_array:
-            entries = node.setdefault(leaf, [])
-            if not isinstance(entries, list):
-                raise DomainError(f"serving config {where}: {leaf!r} is not an array")
-            entries.append({})
-            return entries[-1]
-        target = node.setdefault(leaf, {})
-        if isinstance(target, list):
-            target = target[-1]
-        return target
-
-    for number, raw_line in enumerate(text.splitlines(), start=1):
-        line = _strip_toml_comment(raw_line).strip()
-        if not line:
-            continue
-        if line.startswith("[[") and line.endswith("]]"):
-            current = descend(line[2:-2].strip().split("."), as_array=True)
-        elif line.startswith("[") and line.endswith("]"):
-            current = descend(line[1:-1].strip().split("."), as_array=False)
-        elif "=" in line:
-            key, _, value = line.partition("=")
-            current[key.strip()] = _parse_toml_value(value, f"{where}:{number}")
-        else:
-            raise DomainError(f"serving config {where}:{number}: unparseable line {line!r}")
-    return root

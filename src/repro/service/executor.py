@@ -6,12 +6,12 @@ into a thread-safe in-process serving layer:
 
 Request life cycle
 ------------------
-1. **Validate** — the query is type/parameter/shape-checked against the
-   dataset (:func:`repro.service.queries.plan_query`) before any budget is
-   touched; malformed requests become structured ``invalid`` answers.
-2. **Cache** — an identical earlier release (canonical-key match) is served
+1. **Cache** — an identical earlier release (canonical-key match) is served
    from the :class:`~repro.service.cache.AnswerCache` at **zero marginal
    epsilon** (DP post-processing).
+2. **Validate** — the query is type/parameter/shape-checked against the
+   dataset (:func:`repro.service.queries.plan_query`) before any budget is
+   touched; malformed requests become structured ``invalid`` answers.
 3. **Admit** — the dataset's :class:`~repro.service.registry.BudgetManager`
    atomically reserves the query's worst-case spend; refusal is a structured
    ``refused`` answer with the ledger untouched.
@@ -37,9 +37,23 @@ contract this makes every answer **bit-for-bit identical for ``pool=None``,
 ``workers=1`` and ``workers=N``**, across batching layouts, for the life of
 the service.  With ``seed=None`` every fresh release draws new entropy.
 
-Concurrent *identical* queries from different threads are coalesced: one
-computes, the rest wait and share the released answer (again zero marginal
-epsilon).  Concurrent *distinct* queries proceed independently; admission
+Concurrency contract
+--------------------
+Steps 1–3 are one admission decision, shared by :meth:`QueryService.peek`
+and :meth:`QueryService.submit` and made under one lock: cache lookup,
+draining check, validation, the check for an identical query in flight,
+then the reservation plus a claim on the canonical key (``peek`` instead
+probes the budget and reserves nothing).  Answers and audit records are
+built after the lock is dropped.  An owner caches its ``ok`` answer
+*before* it releases its claim (publish before release), so a decision
+finds the answer, the claim, or neither — never the gap between them, in
+which a miss and a claim taken after the owner finished would charge one
+release twice.
+
+So concurrent *identical* queries from different threads are charged once:
+one computes, the rest wait and share the released answer (again zero
+marginal epsilon), and ``peek`` never refuses a query whose answer is
+cached.  Concurrent *distinct* queries proceed independently; admission
 order decides who gets the last of a nearly-exhausted budget.
 """
 
@@ -260,7 +274,11 @@ class _QueryGroupTrial:
 
 
 class _InFlight:
-    """Rendezvous for threads coalescing on one canonical key."""
+    """Rendezvous for threads coalescing on one canonical key.
+
+    The owner sets ``answer`` (left ``None`` if it raised first) before it
+    sets ``event``.
+    """
 
     __slots__ = ("event", "answer")
 
@@ -273,7 +291,6 @@ class _InFlight:
 class _Admitted:
     """Book-keeping for one admitted (reserved, not yet executed) request."""
 
-    position: int
     request: QueryRequest
     dataset: RegisteredDataset
     key: str
@@ -465,40 +482,105 @@ class QueryService:
     ) -> Optional[QueryAnswer]:
         """Answer ``request`` without executing an estimator, if possible.
 
-        Returns the structured answer for the outcomes that need no engine
-        work — an ``invalid`` request, a cache hit (zero marginal epsilon), or
-        a sure budget refusal — and ``None`` when a fresh (blocking) release
-        is required.  This is the non-blocking fast path the asyncio front-end
-        serves directly on the event loop; ``None`` means "dispatch
-        :meth:`submit` to a worker thread".
-
-        A query identical to one already computing on another thread is also
-        ``None``: :meth:`submit` coalesces with it at zero marginal epsilon,
-        which must win over a point-in-time refusal (front-end parity).  The
-        refusal probe holds no reservation: it is exactly what :meth:`submit`
-        would decide at the same instant.  Cache counters stay exact — a hit
-        is counted here (atomically, by :meth:`AnswerCache.peek`) and a miss
-        only once, by :meth:`submit`.
+        The asyncio front-end serves this on its event loop; ``None`` means
+        "dispatch :meth:`submit` to a worker thread".  It is :meth:`submit`'s
+        own admission decision (:meth:`_decide`) asked with ``claim=False``:
+        the same lookup, checks and in-flight test under the same lock, ending
+        in a budget probe that reserves nothing instead of a reservation.  So
+        it answers exactly what :meth:`submit` would decide at that instant
+        for the outcomes that need no engine work — ``invalid``, a cache hit
+        (zero marginal epsilon), a draining or budget refusal, a coordinator
+        outage — and returns ``None`` when a fresh release is needed or an
+        identical query is in flight (:meth:`submit` coalesces with it, which
+        must win over a refusal).  A request answered here counts its one
+        cache hit or miss; a deferred one is counted by :meth:`submit`.
         """
         started = time.perf_counter()
-        answer = self._peek_inner(request, trace=trace)
-        if answer is not None:
-            self.metrics.observe(
-                answer.kind, _outcome(answer), time.perf_counter() - started
-            )
-        return answer
+        with obs_span(trace, "admission_probe") as info:
+            decided = self._decide(request, claim=False)
+            info["answered"] = isinstance(decided, QueryAnswer)
+        if not isinstance(decided, QueryAnswer):
+            return None
+        self.metrics.observe(
+            decided.kind, _outcome(decided), time.perf_counter() - started
+        )
+        return decided
 
-    def _peek_inner(
-        self, request: QueryRequest, *, trace: Optional[Trace] = None
-    ) -> Optional[QueryAnswer]:
-        prepared = self._prepare(request)
-        if not isinstance(prepared, str):
-            return prepared
-        key = prepared
-        dataset = self.registry.get(request.dataset)
-        with obs_span(trace, "cache_lookup") as info:
+    # -- internals ---------------------------------------------------------
+    def _decide(
+        self, request: QueryRequest, *, claim: bool, count_miss: bool = True
+    ) -> Union[QueryAnswer, _InFlight, _Admitted, None]:
+        """The admission decision: cached, coalesced, refused or admitted.
+
+        :meth:`peek` asks with ``claim=False``; :meth:`submit` and
+        :meth:`submit_many` with ``claim=True``.  One hold of
+        ``_coalesce_lock`` covers, in order: the cache lookup, the draining
+        check, :func:`plan_query`, the in-flight check, and the budget step
+        (``reserve`` plus entering the key in ``_inflight`` for a claim, the
+        zero-side-effect ``peek`` probe otherwise).  Building answers and
+        every audit write happen after the lock is dropped.
+
+        The owner of a claim puts an ``ok`` answer in the cache before
+        :meth:`_release` pops its key, so a thread inside this lock finds the
+        answer, the flight, or neither — never the gap between them, where a
+        miss followed by a claim would charge one release twice.
+
+        Returns a :class:`QueryAnswer` when no estimator has to run; the
+        :class:`_InFlight` of an identical claimed query (wait and share its
+        answer); an :class:`_Admitted` claim when ``claim`` (the caller must
+        execute it, then :meth:`_release` it); or ``None`` (a fresh release
+        is needed).  Each request counts one cache hit (by the lookup) or
+        one miss (here), except that a ``claim=False`` call deferring to
+        :meth:`submit` leaves the miss to it, and ``count_miss=False`` marks
+        a waiter deciding again after its owner raised, whose miss is
+        already counted.
+        """
+        try:
+            dataset = self.registry.get(request.dataset)
+        except UnknownDatasetError as exc:
+            return QueryAnswer(
+                dataset=request.dataset,
+                kind=request.query.kind,
+                status="invalid",
+                key="",
+                error="unknown_dataset",
+                message=str(exc),
+                query=request.query,
+            )
+        key = request.query.canonical_key(request.dataset)
+        flight = reservation = refusal = outage = invalid = None
+        with self._coalesce_lock:
             stored = self._cache.peek(key)
-            info["hit"] = stored is not None
+            draining = stored is None and dataset.draining
+            if stored is None and not draining:
+                try:
+                    plan = plan_query(
+                        request.query,
+                        records=dataset.records,
+                        dimension=dataset.dimension,
+                        allowed=dataset.kinds,
+                    )
+                except InvalidQueryError as exc:
+                    invalid = ("invalid_query", exc)
+                except InsufficientDataError as exc:
+                    invalid = ("insufficient_data", exc)
+                else:
+                    flight = self._inflight.get(key)
+                if invalid is None and flight is None:
+                    try:
+                        if claim:
+                            reservation = dataset.budget.reserve(
+                                plan.reserve_epsilon, analyst=request.analyst
+                            )
+                            flight = self._inflight[key] = _InFlight()
+                        else:
+                            refusal = dataset.budget.peek(
+                                plan.reserve_epsilon, analyst=request.analyst
+                            )
+                    except BudgetExceededError as exc:
+                        refusal = str(exc)
+                    except CoordinatorUnavailableError as exc:
+                        outage = str(exc)
         if stored is not None:
             self._audit_event(
                 "cache_hit",
@@ -514,78 +596,54 @@ class QueryService:
                 epsilon_charged=0.0,
                 remaining=dataset.budget.remaining,
             )
-        # From here on, outcomes answered by this probe (invalid, refused)
-        # count the cache miss themselves — the submission path counts it
-        # via its own lookup, and front-end counters must agree.
-        if dataset.draining:
+        answer: Optional[QueryAnswer] = None
+        if draining:
+            answer = self._draining(request, key, dataset)
+        elif invalid is not None:
+            answer = self._invalid(request, key, *invalid)
+        elif outage is not None:
+            answer = self._unavailable(request, key, outage)
+        elif refusal is not None:
+            answer = self._refused(request, key, refusal, dataset)
+        if count_miss and (claim or answer is not None):
             self._cache.record_miss()
-            return self._draining(request, key, dataset)
+        if answer is not None:
+            return answer
+        if reservation is None:
+            return flight  # wait on it; None: a fresh release is needed
+        admitted = _Admitted(request, dataset, key, reservation, flight)
         try:
-            plan = plan_query(
-                request.query,
-                records=dataset.records,
-                dimension=dataset.dimension,
-                allowed=dataset.kinds,
-            )
-        except InvalidQueryError as exc:
-            self._cache.record_miss()
-            return self._invalid(request, key, "invalid_query", exc)
-        except InsufficientDataError as exc:
-            self._cache.record_miss()
-            return self._invalid(request, key, "insufficient_data", exc)
-        with self._coalesce_lock:
-            if key in self._inflight:
-                return None  # submit will coalesce: cheaper than any refusal
-        with obs_span(trace, "admission_probe") as info:
-            try:
-                refusal = dataset.budget.peek(
-                    plan.reserve_epsilon, analyst=request.analyst
-                )
-            except CoordinatorUnavailableError as exc:
-                self._cache.record_miss()
-                info["refused"] = True
-                return self._unavailable(request, key, str(exc))
-            info["refused"] = refusal is not None
-        if refusal is not None:
-            self._cache.record_miss()
-            return self._refused(request, key, refusal, dataset)
-        return None
-
-    # -- internals ---------------------------------------------------------
-    def _prepare(self, request: QueryRequest) -> Union[str, QueryAnswer]:
-        """Resolve the canonical key, or an ``invalid`` answer."""
-        try:
-            self.registry.get(request.dataset)
-        except UnknownDatasetError as exc:
-            return QueryAnswer(
+            self._audit_event(
+                "reserve",
+                budget=dataset.budget_owner,
                 dataset=request.dataset,
                 kind=request.query.kind,
-                status="invalid",
-                key="",
-                error="unknown_dataset",
-                message=str(exc),
-                query=request.query,
+                key=key,
+                epsilon=reservation.amount,
+                analyst=request.analyst,
             )
-        return request.query.canonical_key(request.dataset)
+        except BaseException:
+            # Nothing ran: return the budget, then wake any waiter (it
+            # decides again), before the error propagates.
+            try:
+                dataset.budget.cancel(reservation)
+            finally:
+                self._release([admitted])
+            raise
+        return admitted
 
-    def _cache_lookup(self, request: QueryRequest, key: str) -> Optional[QueryAnswer]:
-        stored = self._cache.get(key)
-        if stored is None:
-            return None
-        self._audit_event(
-            "cache_hit",
-            dataset=request.dataset,
-            kind=request.query.kind,
-            key=key,
-            analyst=request.analyst,
-        )
-        return dataclasses.replace(
-            stored,
-            cached=True,
-            coalesced=False,
-            epsilon_charged=0.0,
-            remaining=self.registry.get(request.dataset).budget.remaining,
-        )
+    def _release(self, admitted: Sequence[_Admitted]) -> None:
+        """Pop the claimed keys, then wake their waiters.
+
+        Each flight already holds its owner's answer (``None`` if the owner
+        raised first; the waiter then decides again), and an ``ok`` answer
+        is already cached: publish before release.
+        """
+        with self._coalesce_lock:
+            for entry in admitted:
+                self._inflight.pop(entry.key, None)
+        for entry in admitted:
+            entry.flight.event.set()
 
     def _invalid(self, request: QueryRequest, key: str, error: str, exc: Exception) -> QueryAnswer:
         return QueryAnswer(
@@ -699,120 +757,39 @@ class QueryService:
         return answers
 
     def _answer_batch(
-        self, requests: List[QueryRequest], *, trace: Optional[Trace] = None
+        self,
+        requests: List[QueryRequest],
+        *,
+        trace: Optional[Trace] = None,
+        count_miss: bool = True,
     ) -> List[QueryAnswer]:
         answers: List[Optional[QueryAnswer]] = [None] * len(requests)
-        admitted: List[_Admitted] = []
-        batch_first: Dict[str, int] = {}  # key -> position of its computing entry
-        duplicates: List[Tuple[int, str]] = []
+        owned: List[Tuple[int, _Admitted]] = []
         waiting: List[Tuple[int, QueryRequest, _InFlight]] = []
-
-        with obs_span(trace, "admission", requests=len(requests)) as admission_info:
-            for position, request in enumerate(requests):
-                prepared = self._prepare(request)
-                if not isinstance(prepared, str):
-                    answers[position] = prepared
-                    continue
-                key = prepared
-                dataset = self.registry.get(request.dataset)
-                hit = self._cache_lookup(request, key)
-                if hit is not None:
-                    answers[position] = hit
-                    continue
-                if dataset.draining:
-                    answers[position] = self._draining(request, key, dataset)
-                    continue
-                if key in batch_first:
-                    duplicates.append((position, key))
-                    continue
-                try:
-                    plan = plan_query(
-                        request.query,
-                        records=dataset.records,
-                        dimension=dataset.dimension,
-                        allowed=dataset.kinds,
-                    )
-                except InvalidQueryError as exc:
-                    answers[position] = self._invalid(request, key, "invalid_query", exc)
-                    continue
-                except InsufficientDataError as exc:
-                    answers[position] = self._invalid(
-                        request, key, "insufficient_data", exc
-                    )
-                    continue
-                # Coalesce with an identical query already computing on another
-                # thread, else reserve budget and claim the key — atomically, so
-                # two threads can never both admit (and both charge) one release.
-                # The audit writes (refuse / reserve) happen after the lock is
-                # dropped: appending to the log is file I/O and must not extend
-                # the admission critical section.
-                with self._coalesce_lock:
-                    flight = self._inflight.get(key)
-                    if flight is not None:
-                        waiting.append((position, request, flight))
-                        continue
-                    refusal = outage = None
-                    try:
-                        reservation = dataset.budget.reserve(
-                            plan.reserve_epsilon, analyst=request.analyst
-                        )
-                    except BudgetExceededError as exc:
-                        refusal = str(exc)
-                    except CoordinatorUnavailableError as exc:
-                        outage = str(exc)
+        try:
+            with obs_span(trace, "admission", requests=len(requests)) as admission_info:
+                for position, request in enumerate(requests):
+                    decided = self._decide(request, claim=True, count_miss=count_miss)
+                    if isinstance(decided, _Admitted):
+                        owned.append((position, decided))
+                    elif isinstance(decided, _InFlight):
+                        # Claimed on another thread, or earlier in this batch
+                        # (an intra-batch duplicate).
+                        waiting.append((position, request, decided))
                     else:
-                        flight = _InFlight()
-                        self._inflight[key] = flight
-                if outage is not None:
-                    answers[position] = self._unavailable(request, key, outage)
-                    continue
-                if refusal is not None:
-                    answers[position] = self._refused(request, key, refusal, dataset)
-                    continue
-                admitted.append(
-                    _Admitted(
-                        position=position,
-                        request=request,
-                        dataset=dataset,
-                        key=key,
-                        reservation=reservation,
-                        flight=flight,
-                    )
-                )
-                batch_first[key] = position
-                self._audit_event(
-                    "reserve",
-                    budget=dataset.budget_owner,
-                    dataset=request.dataset,
-                    kind=request.query.kind,
-                    key=key,
-                    epsilon=plan.reserve_epsilon,
-                    analyst=request.analyst,
-                )
-            admission_info["admitted"] = len(admitted)
+                        answers[position] = decided
+                admission_info["admitted"] = len(owned)
+            if owned:
+                self._execute_admitted([entry for _, entry in owned], trace=trace)
+        finally:
+            # Whatever happened, release the keys: a waiter must never block
+            # forever.
+            self._release([entry for _, entry in owned])
+        for position, entry in owned:
+            answers[position] = entry.flight.answer
 
-        if admitted:
-            try:
-                self._execute_admitted(admitted, answers, trace=trace)
-            finally:
-                # Publish outcomes (None if execution raised) and release the
-                # keys, whatever happened — a waiter must never block forever.
-                with self._coalesce_lock:
-                    for entry in admitted:
-                        self._inflight.pop(entry.key, None)
-                for entry in admitted:
-                    entry.flight.answer = answers[entry.position]
-                    entry.flight.event.set()
-
-        for position, key in duplicates:
-            source = answers[batch_first[key]]
-            assert source is not None
-            answers[position] = dataclasses.replace(
-                source, coalesced=True, epsilon_charged=0.0
-            )
-
-        # Waiters block only after this batch's own events are set, so two
-        # batches waiting on each other's keys cannot deadlock.
+        # Waiters block only after this batch's own flights are released, so
+        # two batches waiting on each other's keys cannot deadlock.
         if waiting:
             with obs_span(trace, "coalesce", waiters=len(waiting)):
                 for position, request, flight in waiting:
@@ -824,26 +801,21 @@ class QueryService:
                             flight.answer, coalesced=True, epsilon_charged=0.0
                         )
                     else:
-                        # The owner errored before producing an answer; compute
-                        # it ourselves (possibly surfacing the same error).  The
-                        # inner call keeps the retry inside this batch's single
-                        # metrics observation instead of double-counting the
-                        # request.
+                        # The owner errored before producing an answer; decide
+                        # again (possibly surfacing the same error).  The inner
+                        # call keeps the retry inside this batch's single
+                        # metrics observation, and its lookup uncounted.
                         answers[position] = self._answer_batch(
-                            [request], trace=trace
+                            [request], trace=trace, count_miss=False
                         )[0]
 
         assert all(answer is not None for answer in answers)
         return [answer for answer in answers if answer is not None]
 
     def _execute_admitted(
-        self,
-        admitted: List[_Admitted],
-        answers: List[Optional[QueryAnswer]],
-        *,
-        trace: Optional[Trace] = None,
+        self, admitted: List[_Admitted], *, trace: Optional[Trace] = None
     ) -> None:
-        """Run every admitted query through the engine, then commit spends.
+        """Run every admitted query, commit its spend, set ``flight.answer``.
 
         Admitted queries sharing ``(dataset, kind)`` are grouped into one
         :class:`_QueryGroupTrial` cell when the kind is ``batchable`` (one
@@ -948,7 +920,7 @@ class QueryService:
                     # reservation held, so the joint cap stays safe, and
                     # the answer reports the outage instead of the value —
                     # an uncommitted release must not be served or cached.
-                    answers[entry.position] = self._unavailable(
+                    entry.flight.answer = self._unavailable(
                         entry.request, entry.key, str(exc)
                     )
                     continue
@@ -987,7 +959,7 @@ class QueryService:
                     remaining=entry.dataset.budget.remaining,
                     query=entry.request.query,
                 )
-            answers[entry.position] = answer
+            entry.flight.answer = answer
 
     # -- introspection -----------------------------------------------------
     def spend_snapshot(self) -> Dict[str, Dict[str, float]]:

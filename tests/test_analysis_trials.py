@@ -126,34 +126,14 @@ class TestEngineIntegration:
         assert result.failure_records[0].error == "MechanismError"
         assert result.failure_records[0].message == "ptr failed"
 
-    def test_shared_policy_reproduces_legacy_stream(self):
-        """rng_policy='shared' must match the historical one-stream loop bit-for-bit."""
-
-        def estimator(data, gen):
-            return float(np.mean(data) + gen.normal())
-
-        def data_generator(gen):
-            return gen.normal(size=16)
-
-        # Reference: the pre-engine implementation, one shared stream.
-        legacy_gen = np.random.default_rng(20230401)
-        legacy = [
-            float(estimator(data_generator(legacy_gen), legacy_gen)) for _ in range(6)
-        ]
-
-        result = run_trials(
-            estimator, data_generator, 0.0, 6, 20230401, rng_policy="shared"
-        )
-        np.testing.assert_array_equal(result.estimates, np.asarray(legacy))
-
     def test_data_generator_failures_propagate_even_when_allowed(self):
         """allow_failures guards the estimator only: a MechanismError from the
-        data generator must propagate under both policies and any workers."""
+        data generator must propagate for any worker count."""
 
         def failing_generator(gen):
             raise MechanismError("data source failed")
 
-        for kwargs in ({"workers": 1}, {"workers": 2}, {"rng_policy": "shared"}):
+        for kwargs in ({"workers": 1}, {"workers": 2}):
             with pytest.raises(MechanismError, match="data source failed"):
                 run_trials(
                     lambda d, g: 0.0,
@@ -164,24 +144,6 @@ class TestEngineIntegration:
                     allow_failures=True,
                     **kwargs,
                 )
-
-    def test_shared_policy_rejects_parallel(self):
-        with pytest.raises(DomainError):
-            run_trials(
-                lambda d, g: 0.0,
-                lambda g: np.zeros(1),
-                0.0,
-                3,
-                0,
-                workers=2,
-                rng_policy="shared",
-            )
-
-    def test_unknown_rng_policy_rejected(self):
-        with pytest.raises(DomainError):
-            run_trials(
-                lambda d, g: 0.0, lambda g: np.zeros(1), 0.0, 3, 0, rng_policy="global"
-            )
 
 
 class TestRunStatisticalTrials:

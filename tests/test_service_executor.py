@@ -13,6 +13,7 @@ The three headline properties:
 from __future__ import annotations
 
 import os
+import sys
 import threading
 
 import numpy as np
@@ -319,6 +320,284 @@ class TestCoalescing:
         assert all(results[e].ok for e in epsilons)
         total = sum(results[e].epsilon_charged for e in epsilons)
         assert service.registry.get("d").budget.spent == pytest.approx(total)
+
+
+#: How long a parked lookup waits for its rival before giving up.  The fixed
+#: decision holds ``_coalesce_lock`` while parked, so the rival cannot finish
+#: and the park always times out there; the bound keeps that to 0.5 s.
+PARK_S = 0.5
+
+
+class _HookedCache(AnswerCache):
+    """An :class:`AnswerCache` that calls ``hook`` right after the first
+    lookup (``get`` or ``peek``) made from the thread named ``thread``."""
+
+    def __init__(self, thread, hook):
+        super().__init__()
+        self._thread = thread
+        self._hook = hook
+
+    def _after_lookup(self):
+        if threading.current_thread().name == self._thread and self._hook:
+            hook, self._hook = self._hook, None
+            hook()
+
+    def get(self, key):
+        found = super().get(key)
+        self._after_lookup()
+        return found
+
+    def peek(self, key):
+        found = super().peek(key)
+        self._after_lookup()
+        return found
+
+
+def _run_named(**bodies):
+    """Run each body in a thread of that name; return results or exceptions.
+
+    Daemon threads, so a request that hangs fails the test instead of
+    blocking the interpreter's exit.
+    """
+    results = {}
+
+    def run(name, body):
+        try:
+            results[name] = body()
+        except Exception as exc:  # surfaced to the test through ``results``
+            results[name] = exc
+
+    threads = [
+        threading.Thread(target=run, args=(name, body), name=name, daemon=True)
+        for name, body in bodies.items()
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads), "a request hung"
+    return results
+
+
+class TestAtomicAdmission:
+    """Cache lookup, coalescing and claim are one decision under one lock.
+
+    Each case parks one thread right after its cache lookup (through an
+    injected cache) while a rival runs the identical query.  Were the
+    lookup outside the lock, the rival could finish, cache its answer and
+    release its key inside that window, and the parked thread would then
+    be charged again for the same release (or, via ``peek``, refused for an
+    answer that is cached and free).
+    """
+
+    REQUEST = QueryRequest("d", Query("mean", 0.5))
+
+    @staticmethod
+    def _service(data, tmp_path, cache, *, budget=20.0):
+        from repro.obs import AuditLog
+
+        service = QueryService(
+            seed=5, cache=cache, audit=AuditLog(tmp_path / "audit.jsonl")
+        )
+        service.register("d", data, budget)
+        return service
+
+    @staticmethod
+    def _parking(missed, rival_done):
+        def park():
+            missed.set()
+            rival_done.wait(PARK_S)
+
+        return park
+
+    def _check(self, service, data, answers, *, lookups):
+        """One release, shared by every answer, accounted exactly once."""
+        import json
+
+        from repro.obs import replay_spend
+
+        reference = QueryService(seed=5)
+        reference.register("d", data, 20.0)
+        expected = reference.submit(self.REQUEST).value
+        assert all(answer.ok for answer in answers), answers
+        assert {answer.value for answer in answers} == {expected}
+        charged = [answer for answer in answers if answer.epsilon_charged > 0]
+        assert len(charged) == 1
+        assert all(
+            answer.cached or answer.coalesced
+            for answer in answers
+            if answer is not charged[0]
+        )
+        budget = service.registry.get("d").budget
+        assert budget.spent == charged[0].epsilon_charged
+        assert budget.reserved == 0.0
+        stats = service.cache_stats
+        assert stats.hits + stats.misses == lookups
+        events = [
+            json.loads(line)["event"]
+            for line in service.audit.path.read_text().splitlines()
+        ]
+        assert events.count("commit") == 1
+        report = replay_spend(service.audit.path)
+        assert report["owners"]["dataset:d"]["spent"] == budget.spent
+        with service._coalesce_lock:
+            assert not service._inflight
+
+    def test_submit_racing_submit_charges_once(self, data, tmp_path):
+        missed, rival_done = threading.Event(), threading.Event()
+        cache = _HookedCache("parked", self._parking(missed, rival_done))
+        service = self._service(data, tmp_path, cache)
+
+        def rival():
+            missed.wait(PARK_S)
+            try:
+                return service.submit(self.REQUEST)
+            finally:
+                rival_done.set()
+
+        results = _run_named(
+            parked=lambda: service.submit(self.REQUEST), rival=rival
+        )
+        self._check(
+            service, data, [results["parked"], results["rival"]], lookups=2
+        )
+
+    def test_peek_never_refuses_a_cached_answer(self, data, tmp_path):
+        missed, rival_done = threading.Event(), threading.Event()
+        cache = _HookedCache("parked", self._parking(missed, rival_done))
+        # Room for one release of the query (0.48 spent), not for two.
+        service = self._service(data, tmp_path, cache, budget=0.6)
+
+        def rival():
+            missed.wait(PARK_S)
+            try:
+                return service.submit(self.REQUEST)
+            finally:
+                rival_done.set()
+
+        results = _run_named(
+            parked=lambda: service.peek(self.REQUEST), rival=rival
+        )
+        peeked = results["parked"]
+        assert peeked is None or peeked.cached, peeked
+        # The async front door dispatches a None peek to submit.
+        answer = peeked if peeked is not None else service.submit(self.REQUEST)
+        self._check(service, data, [answer, results["rival"]], lookups=2)
+
+    def test_owner_that_raises_wakes_its_waiter(self, data, tmp_path, monkeypatch):
+        import repro.service.executor as executor_module
+
+        claimed, looked_up = threading.Event(), threading.Event()
+        cache = _HookedCache("waiter", looked_up.set)
+        service = self._service(data, tmp_path, cache)
+        real_run_grid = executor_module.run_grid
+        failures = []
+
+        def run_grid_failing_once(*args, **kwargs):
+            if not failures:
+                failures.append(True)
+                claimed.set()
+                looked_up.wait(PARK_S)  # let the waiter find this flight
+                raise RuntimeError("engine lost")
+            return real_run_grid(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "run_grid", run_grid_failing_once)
+
+        def waiter():
+            claimed.wait(PARK_S)
+            return service.submit(self.REQUEST)
+
+        results = _run_named(
+            owner=lambda: service.submit(self.REQUEST), waiter=waiter
+        )
+        assert isinstance(results["owner"], RuntimeError)
+        # The waiter re-decided and ran the release itself.  One lookup per
+        # request, the raising owner's included: the re-decision is not a
+        # second lookup.
+        self._check(service, data, [results["waiter"]], lookups=2)
+
+    def test_batch_with_duplicate_racing_single_submit(self, data, tmp_path):
+        missed, rival_done = threading.Event(), threading.Event()
+        cache = _HookedCache("parked", self._parking(missed, rival_done))
+        service = self._service(data, tmp_path, cache)
+
+        def rival():
+            missed.wait(PARK_S)
+            try:
+                return service.submit(self.REQUEST)
+            finally:
+                rival_done.set()
+
+        results = _run_named(
+            parked=lambda: service.submit_many([self.REQUEST, self.REQUEST]),
+            rival=rival,
+        )
+        batch = results["parked"]
+        assert batch[1].coalesced  # the intra-batch duplicate never reserves
+        self._check(service, data, [*batch, results["rival"]], lookups=3)
+
+
+    def test_failed_reserve_record_releases_the_claim(
+        self, data, tmp_path, monkeypatch
+    ):
+        """An audit write that fails after the reservation must not leave
+        the key claimed (later identical queries would wait forever) nor
+        the budget held."""
+        service = self._service(data, tmp_path, AnswerCache())
+        real_record = service.audit.record
+
+        def record_failing_reserve(event, **fields):
+            if event == "reserve":
+                raise OSError("disk full")
+            return real_record(event, **fields)
+
+        monkeypatch.setattr(service.audit, "record", record_failing_reserve)
+        with pytest.raises(OSError):
+            service.submit(self.REQUEST)
+        budget = service.registry.get("d").budget
+        assert budget.reserved == 0.0
+        with service._coalesce_lock:
+            assert not service._inflight
+        monkeypatch.setattr(service.audit, "record", real_record)
+        results = _run_named(again=lambda: service.submit(self.REQUEST))
+        assert results["again"].ok
+        assert budget.spent == results["again"].epsilon_charged
+
+    def test_every_entry_point_at_once_under_fast_switching(self, data, tmp_path):
+        """Eight threads ask for one key through peek-then-submit, submit and
+        a batch with a duplicate, with the interpreter switching threads
+        every microsecond: one charge and exact counters, every round."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(5):
+                directory = tmp_path / str(round_)
+                directory.mkdir()
+                service = self._service(data, directory, AnswerCache())
+                barrier = threading.Barrier(8)
+
+                def peek_then_submit():
+                    barrier.wait(timeout=10)
+                    peeked = service.peek(self.REQUEST)
+                    return [peeked or service.submit(self.REQUEST)]
+
+                def submit():
+                    barrier.wait(timeout=10)
+                    return [service.submit(self.REQUEST)]
+
+                def batch():
+                    barrier.wait(timeout=10)
+                    return service.submit_many([self.REQUEST, self.REQUEST])
+
+                bodies = {f"peek{i}": peek_then_submit for i in range(3)}
+                bodies.update({f"submit{i}": submit for i in range(3)})
+                bodies.update(batch0=batch, batch1=batch)
+                results = _run_named(**bodies)
+                assert all(isinstance(r, list) for r in results.values()), results
+                answers = [answer for name in bodies for answer in results[name]]
+                self._check(service, data, answers, lookups=len(answers))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestReviewRegressions:
