@@ -518,7 +518,7 @@ class QueryService:
         check, :func:`plan_query`, the in-flight check, and the budget step
         (``reserve`` plus entering the key in ``_inflight`` for a claim, the
         zero-side-effect ``peek`` probe otherwise).  Building answers and
-        every audit write happen after the lock is dropped.
+        every audit write (file I/O) happen after the lock is dropped.
 
         The owner of a claim puts an ``ok`` answer in the cache before
         :meth:`_release` pops its key, so a thread inside this lock finds the
