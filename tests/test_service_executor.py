@@ -12,6 +12,7 @@ The three headline properties:
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import threading
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.engine import EnginePool
+from repro.obs import AuditLog, replay_spend
 from repro.service import (
     AnswerCache,
     Query,
@@ -394,8 +396,6 @@ class TestAtomicAdmission:
 
     @staticmethod
     def _service(data, tmp_path, cache, *, budget=20.0):
-        from repro.obs import AuditLog
-
         service = QueryService(
             seed=5, cache=cache, audit=AuditLog(tmp_path / "audit.jsonl")
         )
@@ -412,10 +412,6 @@ class TestAtomicAdmission:
 
     def _check(self, service, data, answers, *, lookups):
         """One release, shared by every answer, accounted exactly once."""
-        import json
-
-        from repro.obs import replay_spend
-
         reference = QueryService(seed=5)
         reference.register("d", data, 20.0)
         expected = reference.submit(self.REQUEST).value
