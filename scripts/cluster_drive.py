@@ -11,6 +11,8 @@ through the router and asserts the cluster's external contract:
 * a batch request fanned out across shards and reassembled in order,
 * unknown datasets (404), unknown kinds (400), malformed JSON (400) and
   registration attempts (403) answered structurally, never with a 500,
+* the raw-socket head probes of ``scripts/serve_and_drive.py`` against the
+  router: ``Expect: 100-continue`` and conflicting ``Content-Length``,
 * joint-budget exhaustion: once the group ledger is drained, every member
   dataset refuses on every shard with ``budget_exceeded`` — and a
   concurrent refusal barrage leaves the coordinator's ledger bit-for-bit
@@ -41,6 +43,8 @@ import threading
 import urllib.error
 import urllib.request
 from pathlib import Path
+
+from serve_and_drive import head_probe_failures
 
 FAILURES: list = []
 
@@ -437,6 +441,12 @@ def main() -> int:
             total += drive_batch(url, reference)
             total += drive_error_paths(url)
             drive_aggregation(url)
+            failures = head_probe_failures((plan["host"], plan["router_port"]))
+            for failure in failures:
+                check(False, f"router {failure}")
+            if not failures:
+                print("router head probes passed "
+                      "(100-continue, conflicting Content-Length)")
             total += drive_exhaustion(
                 url, plan["host"], plan["coordinator_port"]
             )

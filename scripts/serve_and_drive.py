@@ -33,8 +33,11 @@ queries covering every interesting outcome:
   and ``repro audit spend --url`` replays the hash-chained audit trail to
   the server's live ledger totals bit-for-bit,
 * raw-socket protocol probes: garbage / negative ``Content-Length`` (400),
-  an oversized declared body (413), pipelined keep-alive requests, and a
-  mid-request disconnect (counted in the front-end stats, not crashed on),
+  an oversized declared body (413), pipelined keep-alive requests,
+  ``Expect: 100-continue`` (the interim response before the body, a 413
+  instead for a body over the limit), two conflicting ``Content-Length``
+  headers (400), and a mid-request disconnect (counted in the front-end
+  stats, not crashed on),
 * offline audit forensics after shutdown: ``repro audit verify`` accepts
   the intact chain and rejects a copy with a single flipped byte,
 * a restart on the live chain: the clean shutdown sealed it
@@ -701,24 +704,71 @@ def drive_rate_limit(url: str) -> None:
     print(f"rate limit: {admitted} admitted, {limited} limited, ledger unchanged")
 
 
+def _read_response(reader):
+    """``(status, body)`` of one response off a socket reader; ``None`` at EOF."""
+    status_line = reader.readline()
+    if not status_line:
+        return None
+    headers = {}
+    while True:
+        line = reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = int(headers.get("content-length", 0))
+    return int(status_line.split()[1]), reader.read(length) if length else b""
+
+
 def _read_responses(sock: socket.socket, count: int):
     reader = sock.makefile("rb")
     responses = []
     for _ in range(count):
-        status_line = reader.readline()
-        if not status_line:
+        response = _read_response(reader)
+        if response is None:
             break
-        headers = {}
-        while True:
-            line = reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0))
-        body = reader.read(length) if length else b""
-        responses.append((int(status_line.split()[1]), body))
+        responses.append(response)
     return responses
+
+
+def head_probe_failures(address) -> list:
+    """``Expect: 100-continue`` and conflicting ``Content-Length`` probes.
+
+    Runs over raw sockets against any front door (``scripts/cluster_drive.py``
+    runs it against the router) and returns the failed expectations.
+    """
+    failures = []
+    body = json.dumps({"dataset": "no-such-dataset", "kind": "mean",
+                       "epsilon": 0.1}).encode()
+    head = (b"POST /query HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+            b"Content-Length: %d\r\n\r\n")
+    try:
+        with socket.create_connection(address, timeout=10) as sock:
+            sock.sendall(head % len(body))
+            reader = sock.makefile("rb")
+            interim = reader.readline() + reader.readline()
+            if interim != b"HTTP/1.1 100 Continue\r\n\r\n":
+                failures.append(f"100-continue: interim response {interim!r}")
+            sock.sendall(body)
+            response = _read_response(reader)
+            if response is None or response[0] != 404:
+                failures.append(f"100-continue: final response {response!r}")
+        with socket.create_connection(address, timeout=10) as sock:
+            # Refused by the declared size, before any interim response.
+            sock.sendall(head % (64 << 20))
+            response = _read_response(sock.makefile("rb"))
+            if response is None or response[0] != 413:
+                failures.append(f"100-continue over max_body: {response!r}")
+        with socket.create_connection(address, timeout=10) as sock:
+            sock.sendall(b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n"
+                         b"Content-Length: 3\r\n\r\n{}")
+            response = _read_response(sock.makefile("rb"))
+            if response is None or response[0] != 400 \
+                    or error_code(json.loads(response[1])) != "invalid_request":
+                failures.append(f"conflicting Content-Length: {response!r}")
+    except OSError as exc:
+        failures.append(f"head probes: {type(exc).__name__}: {exc}")
+    return failures
 
 
 def drive_protocol_probes(url: str, frontend: str) -> None:
@@ -751,6 +801,9 @@ def drive_protocol_probes(url: str, frontend: str) -> None:
         responses = _read_responses(sock, 2)
     check(len(responses) == 2 and all(s == 200 for s, _ in responses),
           f"pipelined keep-alive broke: {responses}")
+
+    for failure in head_probe_failures(address):
+        check(False, failure)
 
     # Mid-request disconnect: promise 500 bytes, send 6, hang up.
     sock = socket.create_connection(address, timeout=10)

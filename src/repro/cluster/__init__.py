@@ -18,7 +18,7 @@ without touching its semantics:
 ``coordinator``
     The process that owns the ``BudgetManager`` for every joint budget
     group spanning shards.  The registry's existing group semantics
-    (peek/reserve/commit/cancel) *are* the RPC surface, so reserve→commit
+    (reserve/commit/cancel) *are* the RPC surface, so reserve→commit
     stays atomic cluster-wide.  Shard-local datasets with private budgets
     never pay the RPC round-trip — the router pins them to one shard.
 

@@ -4,8 +4,7 @@ A joint budget group spans shards, so its reserve→commit protocol must be
 atomic *cluster-wide*.  The coordinator achieves that the same way
 :class:`~repro.service.registry.BudgetManager` does within one process —
 by being the single owner of the ledger — and exposes exactly the
-registry's group semantics (``peek`` / ``reserve`` / ``commit`` /
-``cancel`` plus the introspection calls the admin and metrics surfaces
+registry's group semantics (``reserve`` / ``commit`` / ``cancel`` plus the introspection calls the admin and metrics surfaces
 need) over the line-delimited-JSON RPC framing of
 :mod:`repro.cluster.rpc`.  Shards talk to it through
 :class:`~repro.service.registry.RemoteBudgetManager`; datasets with a
@@ -63,7 +62,6 @@ class BudgetCoordinator:
         self._ops = {
             "ping": self._ping,
             "create": self._create,
-            "peek": self._peek,
             "reserve": self.reserve,
             "commit": self._commit,
             "cancel": self._cancel,
@@ -140,14 +138,6 @@ class BudgetCoordinator:
                 "shards running the same serving config?"
             )
         return {"created": False, "capacity": capacity}
-
-    def _peek(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Zero-side-effect admission probe.  Caller must hold ``self._lock``."""
-        _, manager = self._manager(request)
-        refusal = manager.peek(
-            float(request["amount"]), analyst=_analyst(request)
-        )
-        return {"refusal": refusal}
 
     def reserve(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Admit or refuse a claim.  Caller must hold ``self._lock``.

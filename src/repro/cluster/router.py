@@ -62,14 +62,21 @@ import signal
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.ring import HashRing, route_key
+from repro.exceptions import ReproError
 from repro.obs import span as obs_span
 from repro.service import wire
-from repro.service.http import DEFAULT_MAX_BODY
+from repro.service.http import (
+    DEFAULT_MAX_BODY,
+    HeadHandler,
+    ClientDisconnect,
+    PayloadTooLarge,
+)
+from repro.service.queries import InvalidQueryError
 from repro.service.metrics import PROMETHEUS_CONTENT_TYPE
 
 __all__ = [
@@ -210,61 +217,10 @@ def _sum_counters(documents: List[Dict[str, Any]]) -> Dict[str, Any]:
     return total
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
+class _RouterHandler(HeadHandler):
     """Routes by key, forwards verbatim, aggregates the read surfaces."""
 
     server: "RouterServer"
-    protocol_version = "HTTP/1.1"
-    # The headers and the body go out as two writes; with Nagle on, the
-    # body waits for the client's delayed ACK of the headers (~40 ms).
-    disable_nagle_algorithm = True
-
-    # -- plumbing (mirrors the shard front-end's hardening) ------------------
-    def _send_json(self, code: int, payload: Dict[str, Any]) -> None:
-        self._send_body(code, json.dumps(payload).encode("utf-8"), "application/json")
-
-    def _send_body(self, code: int, body: bytes, content_type: str) -> None:
-        try:
-            self.send_response(code)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            if self.close_connection:
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
-        except _TRANSPORT_ERRORS:
-            self.server.count("disconnects")
-            self.close_connection = True
-
-    def _read_json(self) -> Any:
-        raw_length = self.headers.get("Content-Length")
-        try:
-            length = int(raw_length) if raw_length is not None else 0
-            if length < 0:
-                raise ValueError
-        except (TypeError, ValueError):
-            self.close_connection = True
-            raise _BadRequest(
-                f"Content-Length must be a non-negative integer, got {raw_length!r}"
-            ) from None
-        max_body = self.server.max_body
-        if max_body is not None and length > max_body:
-            self.close_connection = True
-            raise _TooLarge(length)
-        raw = self.rfile.read(length) if length else b""
-        if len(raw) < length:
-            raise _Disconnect
-        if not raw:
-            raise _BadRequest("request body is empty")
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _BadRequest(f"request body is not valid JSON: {exc}") from None
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib name
-        if self.server.quiet:
-            return
-        super().log_message(format, *args)
 
     # -- GET: aggregated read surfaces --------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - stdlib casing
@@ -322,13 +278,13 @@ class _RouterHandler(BaseHTTPRequestHandler):
                 )
             else:
                 self._send_json(404, wire.unknown_path("POST", self.path))
-        except _Disconnect:
-            self.server.count("disconnects")
+        except ClientDisconnect:
+            self.server.count_disconnect()
             self.close_connection = True
-        except _TooLarge as exc:
+        except PayloadTooLarge as exc:
             self._send_json(413, wire.too_large(exc.length, self.server.max_body))
-        except _BadRequest as exc:
-            self._send_json(400, wire.bad_request(str(exc)))
+        except ReproError as exc:
+            self._send_json(400, wire.invalid_request(exc))
         except _TRANSPORT_ERRORS:
             self.server.count("disconnects")
             self.close_connection = True
@@ -348,11 +304,13 @@ class _RouterHandler(BaseHTTPRequestHandler):
         tracer = self.server.tracer
         trace = None
         if tracer is not None:
-            trace = tracer.start(self.headers.get("X-Repro-Trace-Id"), frontend="router")
+            trace = tracer.start(
+                self.head.headers.get("x-repro-trace-id"), frontend="router"
+            )
         trace_id = trace.trace_id if trace is not None else None
         # Propagate the router's trace id (or the client's, untraced) so the
         # shard's trace ring holds the same id: one trace spans the tier.
-        forward_id = trace_id or self.headers.get("X-Repro-Trace-Id")
+        forward_id = trace_id or self.head.headers.get("x-repro-trace-id")
         headers = {"X-Repro-Trace-Id": forward_id} if forward_id else {}
         try:
             with obs_span(trace, "parse"):
@@ -403,7 +361,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
     ) -> Tuple[int, Dict[str, Any]]:
         entries = payload.get("queries")
         if not isinstance(entries, list):
-            raise _BadRequest("'queries' must be a list of query objects")
+            raise InvalidQueryError("'queries' must be a list of query objects")
         with obs_span(trace, "route", queries=len(entries)) as info:
             partitions: Dict[int, List[int]] = {}
             for index, entry in enumerate(entries):
@@ -453,22 +411,6 @@ class _RouterHandler(BaseHTTPRequestHandler):
         return 200, document
 
 
-class _BadRequest(Exception):
-    """Framing/parse failure answered with a 400 before any forwarding."""
-
-
-class _TooLarge(Exception):
-    """Declared body beyond ``max_body``; answered 413 without reading it."""
-
-    def __init__(self, length: int):
-        super().__init__(str(length))
-        self.length = length
-
-
-class _Disconnect(Exception):
-    """The client hung up mid-request; counted, never logged."""
-
-
 class RouterServer(ThreadingHTTPServer):
     """The routing tier: a ring over shard endpoints plus aggregation state."""
 
@@ -511,6 +453,9 @@ class RouterServer(ThreadingHTTPServer):
     def count(self, key: str) -> None:
         with self._stats_lock:
             self._counters[key] += 1
+
+    def count_disconnect(self) -> None:
+        self.count("disconnects")
 
     def counters(self) -> Dict[str, int]:
         with self._stats_lock:

@@ -37,7 +37,7 @@ __all__ = ["CoordinatorClient", "encode_line", "decode_line"]
 #: response could apply it twice, so those surface the ambiguity as
 #: ``CoordinatorUnavailableError`` instead.
 _IDEMPOTENT_OPS = frozenset(
-    {"ping", "peek", "snapshot", "stats", "create", "analyst_remaining", "rotate"}
+    {"ping", "snapshot", "stats", "create", "analyst_remaining", "rotate"}
 )
 
 _TRANSPORT_ERRORS = (OSError, EOFError)

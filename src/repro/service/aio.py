@@ -3,8 +3,8 @@
 The threaded front-end (:mod:`repro.service.http`) spends one OS thread per
 connection; at hundreds of concurrent clients the GIL and the scheduler eat
 the cached path alive.  This module serves the *same* service from a single
-event loop (pure stdlib: :func:`asyncio.start_server` plus a minimal
-HTTP/1.1 parser — no new dependencies):
+event loop (pure stdlib: :func:`asyncio.start_server` plus the shared
+HTTP/1.1 head codec of :mod:`repro.service.httphead` — no new dependencies):
 
 * **Fast paths run on the loop.**  Cache hits, sure budget refusals, invalid
   requests and rate-limit refusals are answered without leaving the event
@@ -20,10 +20,17 @@ HTTP/1.1 parser — no new dependencies):
 * **Keep-alive and pipelining.**  Each connection is one task reading
   requests in order; pipelined requests queue in the stream buffer and are
   answered in order.
-* **Hardening mirrors the threaded front-end.**  Malformed
-  ``Content-Length`` → 400, oversized body → 413 (never read into memory),
-  a peer disconnecting mid-request or mid-response is swallowed and counted
-  — the log stays traceback-free by construction.
+* **Hardening is the threaded front-end's.**  The same codec parses every
+  request head, so a framing error gets the same v1 envelope and status on
+  both (400, 414, 431, 505; a malformed or conflicting ``Content-Length`` is
+  400), an oversized body → 413 (never read into memory, and answered
+  instead of ``100 Continue``), an expected body is invited with
+  ``100 Continue``, and a peer disconnecting mid-request or mid-response is
+  swallowed and counted — the log stays traceback-free by construction.
+* **Timeouts without tasks.**  Each read and drain runs in its own
+  ``asyncio.timeout(keepalive_timeout)`` scope: a timer, not a task per
+  wait.  An idle keep-alive connection times out quietly; a client that
+  stalls mid-head or mid-body (slowloris) is reclaimed and counted.
 
 Every response body comes from :mod:`repro.service.wire` (the v1 envelope),
 and the route surface matches the threaded front-end exactly: ``/health``,
@@ -55,7 +62,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import ReproError
 from repro.obs import span as obs_span
-from repro.service import wire
+from repro.service import httphead, wire
 from repro.service.executor import QueryService
 from repro.service.http import DEFAULT_MAX_BODY
 from repro.service.metrics import PROMETHEUS_CONTENT_TYPE, render_prometheus
@@ -67,24 +74,6 @@ __all__ = [
     "start_async_server",
     "serve_async",
 ]
-
-_REASONS = {
-    200: "OK",
-    201: "Created",
-    400: "Bad Request",
-    401: "Unauthorized",
-    403: "Forbidden",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-}
-
-#: Upper bound on header lines per request (anti-abuse, matches stdlib).
-_MAX_HEADERS = 100
-
 
 class _Hangup(Exception):
     """Stop serving this connection (peer gone or framing unrecoverable)."""
@@ -227,73 +216,54 @@ class AsyncServiceServer:
     ) -> bool:
         """Read and answer one request; returns whether to keep the connection."""
         try:
-            request_line = await asyncio.wait_for(
-                reader.readline(), self._keepalive_timeout
-            )
-        except asyncio.TimeoutError:
-            return False
-        except ValueError:  # request line beyond the stream's line limit
+            try:
+                async with asyncio.timeout(self._keepalive_timeout):
+                    raw_line = await reader.readline()
+            except TimeoutError:
+                return False  # idle keep-alive connection
+            except ValueError:  # request line beyond the stream's line limit
+                raise httphead.HeadError(414, "request line too long") from None
+            if not raw_line.strip():
+                return False  # clean close (or bare CRLF) between requests
+            start = httphead.parse_request_line(raw_line)
+            try:
+                async with asyncio.timeout(self._keepalive_timeout):
+                    lines = await self._head_lines(reader)
+            except TimeoutError:
+                # A stalled (slowloris-style) client: reclaim the connection.
+                self._counters["disconnects"] += 1
+                return False
+            head = httphead.parse_head(start, lines)
+        except httphead.HeadError as exc:
             self._counters["malformed"] += 1
-            await self._send(writer, 400, wire.bad_request("request line too long"),
+            await self._send(writer, exc.status, wire.bad_request(str(exc)),
                              keep_alive=False, log="-")
             return False
-        if not request_line.strip():
-            return False  # clean close (or bare CRLF) between requests
-        parts = request_line.decode("latin-1").split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-            self._counters["malformed"] += 1
-            await self._send(writer, 400, wire.bad_request("unparseable request line"),
-                             keep_alive=False, log="-")
-            return False
-        method, path, version = parts
-        try:
-            headers = await asyncio.wait_for(
-                self._read_headers(reader), self._keepalive_timeout
-            )
-        except asyncio.TimeoutError:
-            # A stalled (slowloris-style) client: reclaim the connection.
-            self._counters["disconnects"] += 1
-            return False
-        if headers is None:
-            self._counters["malformed"] += 1
-            await self._send(writer, 400, wire.bad_request("unparseable headers"),
-                             keep_alive=False, log=f"{method} {path}")
-            return False
-        connection = headers.get("connection", "").lower()
-        if version == "HTTP/1.1":
-            keep_alive = connection != "close"
-        else:  # HTTP/1.0 closes unless the client opts in
-            keep_alive = connection == "keep-alive"
         self._counters["requests"] += 1
-        log = f"{method} {path}"
-        if method == "GET":
-            return await self._handle_get(path, headers, writer, keep_alive, log)
-        if method == "POST":
-            return await self._handle_post(path, headers, reader, writer, keep_alive, log)
-        await self._send(writer, 405, wire.method_not_allowed(method),
+        log = f"{head.method} {head.path}"
+        if head.method == "GET":
+            return await self._handle_get(head.path, head.headers, writer, head.keep_alive, log)
+        if head.method == "POST":
+            return await self._handle_post(head, reader, writer, log)
+        await self._send(writer, 405, wire.method_not_allowed(head.method),
                          keep_alive=False, log=log)
         return False
 
-    async def _read_headers(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Dict[str, str]]:
-        """Header block as a lowercase dict; ``None`` when unparseable."""
-        headers: Dict[str, str] = {}
-        for _ in range(_MAX_HEADERS):
+    async def _head_lines(self, reader: asyncio.StreamReader) -> List[bytes]:
+        """The header lines before the blank line, at most one past the limit."""
+        lines: List[bytes] = []
+        while len(lines) <= httphead.MAX_HEADERS:
             try:
-                line = await reader.readline()
-            except ValueError:
-                return None
-            if line in (b"\r\n", b"\n"):
-                return headers
-            if not line:  # EOF mid-headers: the client hung up
+                raw = await reader.readline()
+            except ValueError:  # beyond the stream's line limit
+                raise httphead.HeadError(431, "header line too long") from None
+            if raw in (b"\r\n", b"\n"):
+                break
+            if not raw:  # EOF mid-headers: the client hung up
                 self._counters["disconnects"] += 1
                 raise _Hangup
-            name, sep, value = line.decode("latin-1").partition(":")
-            if not sep:
-                return None
-            headers[name.strip().lower()] = value.strip()
-        return None  # header block too large
+            lines.append(raw)
+        return lines
 
     def _check_rate_limit(self, request) -> Optional[Any]:
         """The pre-admission QoS gate (see the threaded front-end's twin).
@@ -383,31 +353,16 @@ class AsyncServiceServer:
 
     async def _handle_post(
         self,
-        path: str,
-        headers: Dict[str, str],
+        head: httphead.RequestHead,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        keep_alive: bool,
         log: str,
     ) -> bool:
-        # Body framing first: a malformed Content-Length leaves the stream
-        # position unknown, so those responses always close the connection.
-        raw_length = headers.get("content-length")
-        try:
-            length = int(raw_length) if raw_length is not None else 0
-            if length < 0:
-                raise ValueError
-        except ValueError:
-            self._counters["malformed"] += 1
-            await self._send(
-                writer, 400,
-                wire.bad_request(
-                    f"Content-Length must be a non-negative integer, got {raw_length!r}"
-                ),
-                keep_alive=False, log=log,
-            )
-            return False
+        path, headers, keep_alive = head.path, head.headers, head.keep_alive
+        length = head.length
         if self.max_body is not None and length > self.max_body:
+            # Refused by the declared size: the body is never read, so the
+            # connection cannot continue.
             await self._send(writer, 413, wire.too_large(length, self.max_body),
                              keep_alive=False, log=log)
             return False
@@ -420,11 +375,12 @@ class AsyncServiceServer:
             await self._send(writer, 400, wire.bad_request("request body is empty"),
                              keep_alive=keep_alive, log=log)
             return keep_alive
+        if head.expects_continue:
+            writer.write(httphead.CONTINUE)
         try:
-            body = await asyncio.wait_for(
-                reader.readexactly(length), self._keepalive_timeout
-            )
-        except (asyncio.IncompleteReadError, asyncio.TimeoutError):
+            async with asyncio.timeout(self._keepalive_timeout):
+                body = await reader.readexactly(length)
+        except (asyncio.IncompleteReadError, TimeoutError):
             # Hung up early, or stalled without ever delivering the promised
             # bytes — either way the request is unrecoverable.
             self._counters["disconnects"] += 1
@@ -640,17 +596,14 @@ class AsyncServiceServer:
         keep_alive: bool,
         log: str,
     ) -> None:
-        head = (
-            f"HTTP/1.1 {code} {_REASONS.get(code, 'OK')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            "\r\n"
-        ).encode("latin-1")
+        head = httphead.response_head(
+            code, content_type, len(body), keep_alive=keep_alive
+        )
         writer.write(head + body)
         try:
-            await asyncio.wait_for(writer.drain(), self._keepalive_timeout)
-        except (ConnectionError, asyncio.IncompleteReadError, asyncio.TimeoutError):
+            async with asyncio.timeout(self._keepalive_timeout):
+                await writer.drain()
+        except (ConnectionError, asyncio.IncompleteReadError, TimeoutError):
             # Mid-response disconnect (or a peer that stopped reading):
             # count it and end the connection quietly.
             self._counters["disconnects"] += 1

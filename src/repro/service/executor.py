@@ -489,10 +489,12 @@ class QueryService:
         in a budget probe that reserves nothing instead of a reservation.  So
         it answers exactly what :meth:`submit` would decide at that instant
         for the outcomes that need no engine work — ``invalid``, a cache hit
-        (zero marginal epsilon), a draining or budget refusal, a coordinator
-        outage — and returns ``None`` when a fresh release is needed or an
+        (zero marginal epsilon), a draining refusal, a local ledger's budget
+        refusal — and returns ``None`` when a fresh release is needed, an
         identical query is in flight (:meth:`submit` coalesces with it, which
-        must win over a refusal).  A request answered here counts its one
+        must win over a refusal), or the ledger is coordinator-owned (its
+        probe defers to :meth:`submit`'s reserve, so no round trip runs under
+        the admission lock).  A request answered here counts its one
         cache hit or miss; a deferred one is counted by :meth:`submit`.
         """
         started = time.perf_counter()

@@ -59,12 +59,21 @@ Protocol
     ``X-Admin-Token``; 403 ``admin_disabled`` when no controller (or no
     secret) is configured.
 
-Hardening: a missing, non-integer or negative ``Content-Length`` is a clean
-400; a declared body beyond ``max_body`` bytes is answered 413 without
-reading it; a client that disconnects mid-request or mid-response is
-swallowed silently and counted in the ``frontend`` section of
-``GET /datasets`` — a refusal is a response and a disconnect is a counter,
-never a traceback in the server log.
+Hardening: the request head is parsed by :mod:`repro.service.httphead`,
+the codec all three front doors share, never by :mod:`http.server`'s
+:mod:`email`-based header parser.  A framing error is answered in the v1
+JSON envelope and closes the connection: an unparseable request line or a
+malformed header line (obs-fold included) is 400, an over-long request line
+414, an over-long header line or more than 100 headers 431, ``HTTP/2`` or
+later 505, and a non-integer, negative or conflicting ``Content-Length``
+400.  A declared body beyond ``max_body`` bytes is answered 413 without
+reading it, also under ``Expect: 100-continue``; any other expected body is
+invited with ``100 Continue`` first.  Each response leaves as one write
+(status line, ``Content-Type``, ``Content-Length``, ``Connection``, body).
+A client that disconnects mid-request or mid-response is swallowed
+silently and counted in the ``frontend`` section of ``GET /datasets`` — a
+refusal is a response and a disconnect is a counter, never a traceback in
+the server log.
 """
 
 from __future__ import annotations
@@ -77,12 +86,12 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.exceptions import ReproError
 from repro.obs import span as obs_span
-from repro.service import wire
+from repro.service import httphead, wire
 from repro.service.executor import QueryService
 from repro.service.metrics import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from repro.service.queries import InvalidQueryError
 
-__all__ = ["DEFAULT_MAX_BODY", "ServiceServer", "make_server", "serve_forever"]
+__all__ = ["DEFAULT_MAX_BODY", "HeadHandler", "ServiceServer", "make_server", "serve_forever"]
 
 #: Default cap on request body size; oversized posts are answered with 413
 #: instead of being read unbounded into memory.
@@ -98,11 +107,11 @@ _DISCONNECT_ERRORS = (
 )
 
 
-class _ClientDisconnect(Exception):
+class ClientDisconnect(Exception):
     """The client hung up before the request could be answered."""
 
 
-class _PayloadTooLarge(Exception):
+class PayloadTooLarge(Exception):
     """The declared request body exceeds the server's size cap."""
 
     def __init__(self, length: int):
@@ -110,16 +119,59 @@ class _PayloadTooLarge(Exception):
         self.length = length
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Request handler; the service instance hangs off the server object."""
+class HeadHandler(BaseHTTPRequestHandler):
+    """:mod:`http.server`'s connection loop over the shared head codec.
 
-    server: "ServiceServer"
+    ``handle_one_request`` still reads the request line (answering 414 past
+    64 KiB), applies socket timeouts and calls the ``do_*`` methods; the
+    header block is parsed by :mod:`repro.service.httphead` into
+    :attr:`head`, and every response leaves as one write of head and body.
+    The threaded front door and the cluster router both build on it; their
+    servers provide ``max_body``, ``quiet`` and ``count_disconnect()``.
+    """
+
     protocol_version = "HTTP/1.1"
-    # The headers and the body go out as two writes; with Nagle on, the
-    # body waits for the client's delayed ACK of the headers (~40 ms).
+    # A response is one write, but two writes in a row on one connection (a
+    # 100 Continue and its answer, or answers to pipelined requests) would
+    # otherwise wait out the client's delayed ACK (~40 ms) with Nagle on.
     disable_nagle_algorithm = True
+    head: httphead.RequestHead
 
-    # -- plumbing ----------------------------------------------------------
+    def parse_request(self) -> bool:
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "latin-1").rstrip("\r\n")
+        if not self.requestline.strip():
+            return False  # a bare line ending: hang up, as http.server does
+        try:
+            start = httphead.parse_request_line(self.raw_requestline)
+            lines = []
+            while True:
+                raw = self.rfile.readline(httphead.MAX_LINE + 1)
+                if raw in (b"\r\n", b"\n"):
+                    break
+                if not raw:  # EOF inside the head: the client hung up
+                    self.server.count_disconnect()
+                    return False
+                lines.append(raw)
+                if len(lines) > httphead.MAX_HEADERS or len(raw) > httphead.MAX_LINE:
+                    break
+            self.head = httphead.parse_head(start, lines)
+        except httphead.HeadError as exc:
+            self.send_error(exc.status, str(exc))
+            return False
+        self.command, self.path = self.head.method, self.head.path
+        self.request_version = self.head.version
+        if self.command not in ("GET", "POST"):
+            self._send_json(405, wire.method_not_allowed(self.command))
+            return False
+        self.close_connection = not self.head.keep_alive
+        return True
+
+    def send_error(self, code: int, message: Optional[str] = None, explain=None) -> None:
+        """Framing refusals, ours and http.server's 414, in the v1 envelope."""
+        self.close_connection = True
+        self._send_json(code, wire.bad_request(message or self.responses[code][0]))
+
     def _send_json(
         self,
         code: int,
@@ -130,28 +182,21 @@ class _Handler(BaseHTTPRequestHandler):
         body = json.dumps(payload).encode("utf-8")
         self._send_body(code, body, "application/json", headers)
 
-    def _send_text(self, code: int, text: str, content_type: str) -> None:
-        self._send_body(code, text.encode("utf-8"), content_type, None)
-
     def _send_body(
         self,
         code: int,
         body: bytes,
         content_type: str,
-        headers: Optional[Mapping[str, str]],
+        headers: Optional[Mapping[str, str]] = None,
     ) -> None:
+        if not self.server.quiet:
+            self.log_request(code, len(body))
+        head = httphead.response_head(
+            code, content_type, len(body),
+            keep_alive=not self.close_connection, extra=headers,
+        )
         try:
-            self.send_response(code)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            if self.close_connection:
-                # Announce the teardown (set by the bad-framing paths before
-                # responding) so keep-alive clients don't pipeline into a FIN.
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
+            self.wfile.write(head + body)
         except _DISCONNECT_ERRORS:
             # The client went away mid-response.  Writing anything more
             # (including a 500) to the dead socket would only raise again and
@@ -160,29 +205,23 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
 
     def _read_json(self, *, allow_empty: bool = False) -> Any:
-        raw_length = self.headers.get("Content-Length")
-        try:
-            length = int(raw_length) if raw_length is not None else 0
-        except (TypeError, ValueError):
-            # Unknown framing: the body (if any) stays unread, so keep-alive
-            # cannot continue on this connection.
-            self.close_connection = True
-            raise InvalidQueryError(
-                f"Content-Length must be an integer, got {raw_length!r}"
-            ) from None
-        if length < 0:
-            self.close_connection = True
-            raise InvalidQueryError(f"Content-Length must be >= 0, got {length}")
+        length = self.head.length
         max_body = self.server.max_body
         if max_body is not None and length > max_body:
-            raise _PayloadTooLarge(length)
-        try:
-            raw = self.rfile.read(length) if length else b""
-        except _DISCONNECT_ERRORS as exc:
-            raise _ClientDisconnect from exc
-        if len(raw) < length:
-            # The client promised `length` bytes and hung up early.
-            raise _ClientDisconnect
+            # The body stays unread, so keep-alive framing cannot continue.
+            self.close_connection = True
+            raise PayloadTooLarge(length)
+        raw = b""
+        if length:
+            try:
+                if self.head.expects_continue:
+                    self.wfile.write(httphead.CONTINUE)
+                raw = self.rfile.read(length)
+            except _DISCONNECT_ERRORS as exc:
+                raise ClientDisconnect from exc
+            if len(raw) < length:
+                # The client promised `length` bytes and hung up early.
+                raise ClientDisconnect
         if not raw:
             if allow_empty:
                 return None
@@ -196,6 +235,12 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.quiet:
             return
         super().log_message(format, *args)
+
+
+class _Handler(HeadHandler):
+    """Request handler; the service instance hangs off the server object."""
+
+    server: "ServiceServer"
 
     # -- routes ------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - stdlib casing
@@ -212,13 +257,13 @@ class _Handler(BaseHTTPRequestHandler):
             elif self.path == "/kinds":
                 self._send_json(200, wire.kinds_document(self.server.service))
             elif self.path == "/metrics":
-                self._send_text(
+                self._send_body(
                     200,
                     render_prometheus(
                         self.server.service,
                         frontend=self.server.frontend_stats(),
                         limiter=self.server.limiter,
-                    ),
+                    ).encode("utf-8"),
                     PROMETHEUS_CONTENT_TYPE,
                 )
             elif self.path == "/debug/traces" or self.path.startswith("/debug/traces/"):
@@ -243,10 +288,10 @@ class _Handler(BaseHTTPRequestHandler):
                 self._handle_admin("POST")
             else:
                 self._send_json(404, wire.unknown_path("POST", self.path))
-        except _ClientDisconnect:
+        except ClientDisconnect:
             self.server.count_disconnect()
             self.close_connection = True
-        except _PayloadTooLarge as exc:
+        except PayloadTooLarge as exc:
             # The body was never read, so the connection cannot be reused for
             # keep-alive framing; announce the close, answer, hang up.
             self.close_connection = True
@@ -289,7 +334,7 @@ class _Handler(BaseHTTPRequestHandler):
         trace = None
         if tracer is not None:
             trace = tracer.start(
-                self.headers.get("X-Repro-Trace-Id"), frontend="threaded"
+                self.head.headers.get("x-repro-trace-id"), frontend="threaded"
             )
         headers: Optional[Dict[str, str]] = None
         try:
@@ -391,7 +436,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(403, wire.admin_disabled())
             return
         token = wire.bearer_token(
-            self.headers.get("Authorization"), self.headers.get("X-Admin-Token")
+            self.head.headers.get("authorization"),
+            self.head.headers.get("x-admin-token"),
         )
         payload = self._read_json(allow_empty=True) if method == "POST" else None
         code, doc = admin.handle(method, self.path, payload, token)

@@ -329,8 +329,8 @@ class RemoteBudgetManager:
     holds this proxy instead of a local manager.  The proxy satisfies the
     exact surface the executor, admin plane and metrics renderer consume —
     ``peek`` / ``reserve`` / ``commit`` / ``cancel``, the introspection
-    properties, ``analyst_*`` and ``to_json`` — by delegating each call to
-    one RPC round-trip (see :mod:`repro.cluster.coordinator`).  Semantics
+    properties, ``analyst_*`` and ``to_json`` — by delegating each call but
+    ``peek`` to one RPC round-trip (see :mod:`repro.cluster.coordinator`).  Semantics
     are those of the coordinator's own :class:`BudgetManager` under its
     lock, which is what makes reserve→commit atomic cluster-wide.
 
@@ -426,11 +426,15 @@ class RemoteBudgetManager:
 
     # -- the two-phase protocol --------------------------------------------
     def peek(self, amount: float, *, analyst: Optional[str] = None) -> Optional[str]:
-        amount = validate_epsilon(amount, name="reservation")
-        response = self._client.call(
-            "peek", owner=self._owner, amount=amount, analyst=analyst
-        )
-        return response.get("refusal")
+        """Never refuses: a remote ledger's admission probe defers to :meth:`reserve`.
+
+        A probe would be a coordinator round trip under the executor's
+        admission lock (on an async shard, on the event loop too), and its
+        answer could be stale by the reserve anyway.  ``None`` sends the
+        query on to ``submit``, whose ``reserve`` refuses with the same
+        document.
+        """
+        return None
 
     def reserve(self, amount: float, *, analyst: Optional[str] = None) -> Reservation:
         amount = validate_epsilon(amount, name="reservation")

@@ -25,13 +25,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.cluster.coordinator import BudgetCoordinator
+from repro.cluster.rpc import CoordinatorClient
 from repro.service import (
     AsyncServerThread,
     QueryRequest,
     QueryService,
     Query,
+    RemoteBudgetManager,
     make_server,
     serve_forever,
+    wire,
 )
 
 MAX_BODY = 64_000
@@ -465,6 +469,49 @@ class TestPeekFastPath:
         assert peek_service.peek(request).status == "refused"
         assert submit_service.submit(request).status == "refused"
         assert peek_service.cache.stats == submit_service.cache.stats
+
+    def test_peek_never_probes_a_remote_ledger(self):
+        """A coordinator-owned budget is not probed under the admission lock.
+
+        ``peek`` makes no RPC and defers to ``submit``, whose ``reserve``
+        refuses; so the async front door's answer to a refused group query
+        is exactly ``submit``'s.
+        """
+
+        class CountingClient:
+            def __init__(self):
+                self.coordinator = BudgetCoordinator()
+                self.calls = []
+
+            def call(self, op, **fields):
+                self.calls.append(op)
+                response = self.coordinator.handle({"id": 1, "op": op, **fields})
+                return CoordinatorClient._unwrap(op, response)
+
+        def grouped_service():
+            client = CountingClient()
+            service = QueryService(seed=13)
+            manager = RemoteBudgetManager("group:g", client, capacity=1.0)
+            service.registry.create_group("g", 1.0, manager=manager)
+            service.register(
+                "d", np.random.default_rng(1).normal(50.0, 5.0, 10_000), None, group="g"
+            )
+            return service, client
+
+        query = {"dataset": "d", "kind": "mean", "epsilon": 5.0}
+        service, client = grouped_service()
+        before = len(client.calls)
+        assert service.peek(QueryRequest("d", Query("mean", 5.0))) is None
+        assert client.calls[before:] == []
+
+        twin, _ = grouped_service()
+        expected = wire.answer_document(twin.submit(QueryRequest("d", Query("mean", 5.0))))
+        assert expected["error"]["code"] == "budget_exceeded"
+        with AsyncServerThread(service, port=0, quiet=True) as runner:
+            status, document = _call(runner.url, "/query", query)
+        assert status == 403
+        assert document == json.loads(json.dumps(expected))
+        assert "peek" not in client.calls
 
     def test_peek_reports_invalid_requests(self):
         service = _make_service()
