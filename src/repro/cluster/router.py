@@ -72,12 +72,12 @@ from repro.obs import span as obs_span
 from repro.service import wire
 from repro.service.http import (
     DEFAULT_MAX_BODY,
-    HeadHandler,
     ClientDisconnect,
+    HeadHandler,
     PayloadTooLarge,
 )
-from repro.service.queries import InvalidQueryError
 from repro.service.metrics import PROMETHEUS_CONTENT_TYPE
+from repro.service.queries import InvalidQueryError
 
 __all__ = [
     "ShardEndpoint",
@@ -281,8 +281,8 @@ class _RouterHandler(HeadHandler):
         except ClientDisconnect:
             self.server.count_disconnect()
             self.close_connection = True
-        except PayloadTooLarge as exc:
-            self._send_json(413, wire.too_large(exc.length, self.server.max_body))
+        except PayloadTooLarge:
+            self._send_json(413, wire.too_large(self.head.length, self.server.max_body))
         except ReproError as exc:
             self._send_json(400, wire.invalid_request(exc))
         except _TRANSPORT_ERRORS:

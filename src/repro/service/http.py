@@ -114,10 +114,6 @@ class ClientDisconnect(Exception):
 class PayloadTooLarge(Exception):
     """The declared request body exceeds the server's size cap."""
 
-    def __init__(self, length: int):
-        super().__init__(str(length))
-        self.length = length
-
 
 class HeadHandler(BaseHTTPRequestHandler):
     """:mod:`http.server`'s connection loop over the shared head codec.
@@ -210,7 +206,7 @@ class HeadHandler(BaseHTTPRequestHandler):
         if max_body is not None and length > max_body:
             # The body stays unread, so keep-alive framing cannot continue.
             self.close_connection = True
-            raise PayloadTooLarge(length)
+            raise PayloadTooLarge
         raw = b""
         if length:
             try:
@@ -291,11 +287,11 @@ class _Handler(HeadHandler):
         except ClientDisconnect:
             self.server.count_disconnect()
             self.close_connection = True
-        except PayloadTooLarge as exc:
+        except PayloadTooLarge:
             # The body was never read, so the connection cannot be reused for
             # keep-alive framing; announce the close, answer, hang up.
             self.close_connection = True
-            self._send_json(413, wire.too_large(exc.length, self.server.max_body))
+            self._send_json(413, wire.too_large(self.head.length, self.server.max_body))
         except _DISCONNECT_ERRORS:
             self.server.count_disconnect()
             self.close_connection = True
