@@ -760,8 +760,9 @@ def head_probe_failures(address) -> list:
             if response is None or response[0] != 413:
                 failures.append(f"100-continue over max_body: {response!r}")
         with socket.create_connection(address, timeout=10) as sock:
-            sock.sendall(b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n"
-                         b"Content-Length: 3\r\n\r\n{}")
+            # The first length frames a whole query, the second one byte more.
+            sock.sendall(b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n"
+                         b"Content-Length: %d\r\n\r\n" % (len(body), len(body) + 1) + body)
             response = _read_response(sock.makefile("rb"))
             if response is None or response[0] != 400 \
                     or error_code(json.loads(response[1])) != "invalid_request":

@@ -4,9 +4,9 @@ A joint budget group spans shards, so its reserve→commit protocol must be
 atomic *cluster-wide*.  The coordinator achieves that the same way
 :class:`~repro.service.registry.BudgetManager` does within one process —
 by being the single owner of the ledger — and exposes exactly the
-registry's group semantics (``reserve`` / ``commit`` / ``cancel`` plus the introspection calls the admin and metrics surfaces
-need) over the line-delimited-JSON RPC framing of
-:mod:`repro.cluster.rpc`.  Shards talk to it through
+registry's group semantics (``reserve`` / ``commit`` / ``cancel`` plus
+the introspection calls the admin and metrics surfaces need) over the
+line-delimited-JSON RPC framing of :mod:`repro.cluster.rpc`.  Shards talk to it through
 :class:`~repro.service.registry.RemoteBudgetManager`; datasets with a
 private (shard-local) budget never appear here at all.
 

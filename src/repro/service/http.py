@@ -288,9 +288,6 @@ class _Handler(HeadHandler):
             self.server.count_disconnect()
             self.close_connection = True
         except PayloadTooLarge:
-            # The body was never read, so the connection cannot be reused for
-            # keep-alive framing; announce the close, answer, hang up.
-            self.close_connection = True
             self._send_json(413, wire.too_large(self.head.length, self.server.max_body))
         except _DISCONNECT_ERRORS:
             self.server.count_disconnect()

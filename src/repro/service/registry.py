@@ -330,9 +330,9 @@ class RemoteBudgetManager:
     exact surface the executor, admin plane and metrics renderer consume —
     ``peek`` / ``reserve`` / ``commit`` / ``cancel``, the introspection
     properties, ``analyst_*`` and ``to_json`` — by delegating each call but
-    ``peek`` to one RPC round-trip (see :mod:`repro.cluster.coordinator`).  Semantics
-    are those of the coordinator's own :class:`BudgetManager` under its
-    lock, which is what makes reserve→commit atomic cluster-wide.
+    ``peek`` to one RPC round-trip (see :mod:`repro.cluster.coordinator`).
+    Semantics are those of the coordinator's own :class:`BudgetManager`
+    under its lock, which is what makes reserve→commit atomic cluster-wide.
 
     Transport failures surface as
     :class:`~repro.exceptions.CoordinatorUnavailableError`; the executor
