@@ -445,8 +445,8 @@ def main() -> int:
             for failure in failures:
                 check(False, f"router {failure}")
             if not failures:
-                print("router head probes passed "
-                      "(100-continue, conflicting Content-Length)")
+                print("router head probes passed (100-continue, conflicting "
+                      "Content-Length, pipelined GET after a refused POST)")
             total += drive_exhaustion(
                 url, plan["host"], plan["coordinator_port"]
             )

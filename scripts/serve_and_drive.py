@@ -705,7 +705,7 @@ def drive_rate_limit(url: str) -> None:
 
 
 def _read_response(reader):
-    """``(status, body)`` of one response off a socket reader; ``None`` at EOF."""
+    """``(status, body, headers)`` of one response off a socket reader; ``None`` at EOF."""
     status_line = reader.readline()
     if not status_line:
         return None
@@ -717,7 +717,7 @@ def _read_response(reader):
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
     length = int(headers.get("content-length", 0))
-    return int(status_line.split()[1]), reader.read(length) if length else b""
+    return int(status_line.split()[1]), reader.read(length) if length else b"", headers
 
 
 def _read_responses(sock: socket.socket, count: int):
@@ -731,11 +731,13 @@ def _read_responses(sock: socket.socket, count: int):
     return responses
 
 
-def head_probe_failures(address) -> list:
-    """``Expect: 100-continue`` and conflicting ``Content-Length`` probes.
+def head_probe_failures(address, limited_analyst=None) -> list:
+    """``Expect: 100-continue``, conflicting ``Content-Length`` and refused-POST probes.
 
     Runs over raw sockets against any front door (``scripts/cluster_drive.py``
-    runs it against the router) and returns the failed expectations.
+    runs it against the router) and returns the failed expectations.  With
+    ``limited_analyst`` (an analyst whose rate-limit bucket the caller has
+    drained), a query of theirs must draw a 429 with a ``Retry-After``.
     """
     failures = []
     body = json.dumps({"dataset": "no-such-dataset", "kind": "mean",
@@ -767,6 +769,26 @@ def head_probe_failures(address) -> list:
             if response is None or response[0] != 400 \
                     or error_code(json.loads(response[1])) != "invalid_request":
                 failures.append(f"conflicting Content-Length: {response!r}")
+        with socket.create_connection(address, timeout=10) as sock:
+            # A POST refused by path: its body must not be read as the next
+            # request; the pipelined GET is answered, or the server hangs up.
+            sock.sendall(b"POST /nope HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}"
+                         b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n")
+            responses = _read_responses(sock, 2)
+            codes = [response[0] for response in responses]
+            if codes not in ([404], [404, 200]):
+                failures.append(f"pipelined GET after a refused POST: {responses!r}")
+        if limited_analyst is not None:
+            limited = json.dumps({"dataset": "no-such-dataset", "kind": "mean",
+                                  "epsilon": 0.1, "analyst": limited_analyst}).encode()
+            with socket.create_connection(address, timeout=10) as sock:
+                sock.sendall(b"POST /query HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+                             b"Content-Length: %d\r\n\r\n" % len(limited) + limited)
+                response = _read_response(sock.makefile("rb"))
+            retry_after = response[2].get("retry-after", "") if response else ""
+            if response is None or response[0] != 429 or not retry_after.isdigit() \
+                    or int(retry_after) < 1:
+                failures.append(f"429 without a Retry-After: {response!r}")
     except OSError as exc:
         failures.append(f"head probes: {type(exc).__name__}: {exc}")
     return failures
@@ -783,7 +805,7 @@ def drive_protocol_probes(url: str, frontend: str) -> None:
             responses = _read_responses(sock, 1)
         check(bool(responses), f"{label}: no response")
         if responses:
-            status, body = responses[0]
+            status, body, _ = responses[0]
             check(status == expected_status,
                   f"{label}: HTTP {status} (wanted {expected_status}): {body!r}")
             check(b"Traceback" not in body, f"{label}: traceback in body")
@@ -800,10 +822,11 @@ def drive_protocol_probes(url: str, frontend: str) -> None:
         sock.sendall(b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n"
                      b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n")
         responses = _read_responses(sock, 2)
-    check(len(responses) == 2 and all(s == 200 for s, _ in responses),
+    check(len(responses) == 2 and all(s == 200 for s, _, _ in responses),
           f"pipelined keep-alive broke: {responses}")
 
-    for failure in head_probe_failures(address):
+    # drive_rate_limit has drained the "burster" bucket.
+    for failure in head_probe_failures(address, limited_analyst="burster"):
         check(False, failure)
 
     # Mid-request disconnect: promise 500 bytes, send 6, hang up.

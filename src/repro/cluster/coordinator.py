@@ -171,10 +171,10 @@ class BudgetCoordinator:
     def _commit(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Settle a reservation with its measured spend.  Caller must hold ``self._lock``."""
         owner, manager, reservation = self._settle(request)
-        charged = manager.commit(
+        charged, remaining = manager.commit(
             reservation, float(request["actual"]), label=str(request.get("label", ""))
         )
-        return {"charged": charged, "remaining": manager.remaining}
+        return {"charged": charged, "remaining": remaining}
 
     def _cancel(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Release a reservation unspent.  Caller must hold ``self._lock``."""

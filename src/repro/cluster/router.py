@@ -266,9 +266,9 @@ class _RouterHandler(HeadHandler):
             if self.path == "/query":
                 self._handle_query()
             elif self.path == "/datasets":
-                self._send_json(403, wire.registration_disabled())
+                self._refuse_unread(403, wire.registration_disabled())
             elif self.path.startswith("/admin"):
-                self._send_json(
+                self._refuse_unread(
                     403,
                     wire.error_document(
                         "admin_disabled",
@@ -277,7 +277,7 @@ class _RouterHandler(HeadHandler):
                     ),
                 )
             else:
-                self._send_json(404, wire.unknown_path("POST", self.path))
+                self._refuse_unread(404, wire.unknown_path("POST", self.path))
         except ClientDisconnect:
             self.server.count_disconnect()
             self.close_connection = True

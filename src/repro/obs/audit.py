@@ -18,10 +18,15 @@ match the live ``/datasets`` snapshot bit-for-bit; the audit trail is not
 a summary of the ledger, it *is* the ledger, recomputable by anyone
 holding the file.
 
-Float fidelity: records are serialised with :func:`json.dumps`, whose
+Float fidelity: records are serialised by :mod:`json`, whose
 shortest-repr float encoding round-trips ``float`` values exactly — the
 replayed sums accumulate the same IEEE-754 doubles the ledger did, in the
 same order the commits were appended.
+
+One encode per record: :meth:`AuditLog.record` encodes the record once
+with a placeholder ``hash``; the hashed body is that line without the
+placeholder member, and the digest is spliced into its place.  The bytes
+are those of encoding body and record apart, so old chains still verify.
 
 Resuming without re-verifying: an :class:`AuditLog` keeps a running
 SHA-256 over every byte it has verified or written, and :meth:`AuditLog.close`
@@ -85,6 +90,12 @@ GENESIS = "0" * 64
 #: Keys the chain machinery owns; event payloads may not shadow them.
 _RESERVED_KEYS = frozenset({"seq", "time", "event", "prev", "hash"})
 
+#: Canonical JSON (sorted keys, minimal separators) of records and hash bodies.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: ``record``'s ``hash`` member before the digest is known (``prev`` sorts after).
+_PLACEHOLDER = "h" * 64
+_HASH_SLOT = f'"hash":"{_PLACEHOLDER}",'
+
 
 class AuditChainError(ReproError):
     """The audit log failed verification (tampered, truncated, malformed)."""
@@ -98,8 +109,7 @@ def _chain_hash(record: Dict[str, Any]) -> str:
     each hash commits to the entire prefix of the log.
     """
     body = {key: value for key, value in record.items() if key != "hash"}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_ENCODER.encode(body).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -212,22 +222,31 @@ class AuditLog:
             raise DomainError(
                 f"unknown audit event {event!r}; known: {sorted(AUDIT_EVENTS)}"
             )
-        if _RESERVED_KEYS & set(fields):
+        if not _RESERVED_KEYS.isdisjoint(fields):
             clash = sorted(_RESERVED_KEYS & set(fields))
             raise DomainError(f"audit fields shadow reserved keys: {clash}")
         with self._lock:
             if self._handle is None:
                 raise DomainError(f"audit log {self._path} is closed")
-            record: Dict[str, Any] = dict(fields)
+            record: Dict[str, Any] = fields
             self._seq += 1
             record["seq"] = self._seq
             record["time"] = self._clock()
             record["event"] = event
             record["prev"] = self._prev
-            record["hash"] = _chain_hash(record)
-            self._prev = record["hash"]
-            line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-            data = line.encode("utf-8")
+            record["hash"] = _PLACEHOLDER
+            line = _ENCODER.encode(record)
+            at = line.find(_HASH_SLOT)
+            if line.find(_HASH_SLOT, at + 1) < 0:
+                body = line[:at] + line[at + len(_HASH_SLOT) :]
+                digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+                line = f'{body[:at]}"hash":"{digest}",{body[at:]}'
+            else:  # a field value holds the placeholder too: encode twice
+                digest = _chain_hash(record)
+                record["hash"] = digest
+                line = _ENCODER.encode(record)
+            record["hash"] = self._prev = digest
+            data = (line + "\n").encode("utf-8")
             self._handle.write(data)
             self._handle.flush()
             self._digest.update(data)

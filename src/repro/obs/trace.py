@@ -17,10 +17,14 @@ records its admission/execution spans against it — so one trace id queried
 at ``/debug/traces/<id>`` on router and shard tells the whole cross-process
 story (routing spans here, execution spans there).
 
+Finishing a trace stores the :class:`Trace` in the ring; ``get`` / ``recent``
+render its document on read (the same document, frozen at finish).
+
 Determinism: trace ids are drawn from :func:`os.urandom` — deliberately
 outside the seeded ``repro._rng`` tree — and nothing in this module ever
 feeds a seed, so answers with tracing enabled are bit-for-bit identical to
-tracing disabled (pinned in ``tests/test_obs_service.py``).
+tracing disabled (pinned in ``tests/test_obs_service.py``).  One 4 KiB read
+serves 512 ids; a forked child drops the pool it inherited.
 """
 
 from __future__ import annotations
@@ -29,10 +33,11 @@ import os
 import sys
 import time
 from collections import OrderedDict
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import islice
 from threading import Lock
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.exceptions import DomainError
 
@@ -43,9 +48,27 @@ _ID_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ01234
 _MAX_ID_LENGTH = 64
 
 
+#: Pooled OS entropy: one 4 KiB ``getrandom`` serves 512 ids.
+_id_lock, _id_digits, _id_at = Lock(), "", 0
+
+
 def mint_trace_id() -> str:
-    """A fresh 16-hex-char trace id from OS entropy (never the seeded RNG)."""
-    return os.urandom(8).hex()
+    """A fresh 16-hex-char trace id from pooled OS entropy (never the seeded RNG)."""
+    global _id_digits, _id_at
+    with _id_lock:
+        if _id_at == len(_id_digits):
+            _id_digits, _id_at = os.urandom(4096).hex(), 0
+        _id_at += 16
+        return _id_digits[_id_at - 16 : _id_at]
+
+
+def _reset_id_pool() -> None:
+    """Drop the inherited pool (and lock) in a forked child: its ids are its own."""
+    global _id_lock, _id_digits, _id_at
+    _id_lock, _id_digits, _id_at = Lock(), "", 0
+
+
+os.register_at_fork(after_in_child=_reset_id_pool)
 
 
 def accept_trace_id(candidate: Optional[str]) -> str:
@@ -62,7 +85,7 @@ def accept_trace_id(candidate: Optional[str]) -> str:
     return mint_trace_id()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Span:
     """One timed pipeline stage inside a trace.
 
@@ -87,6 +110,31 @@ class Span:
         return document
 
 
+class _Timed:
+    """:meth:`Trace.span`: yields ``detail``, records a :class:`Span` on any exit."""
+
+    __slots__ = ("_trace", "_name", "_detail", "_start")
+
+    def __init__(self, trace: "Trace", name: str, detail: Dict[str, Any]):
+        self._trace, self._name, self._detail = trace, name, detail
+
+    def __enter__(self) -> Dict[str, Any]:
+        self._start = self._trace._clock()
+        return self._detail
+
+    def __exit__(self, *exc_info: Any) -> None:
+        trace, start = self._trace, self._start
+        duration = (trace._clock() - start) * 1000.0
+        trace.spans.append(
+            Span(self._name, (start - trace._opened) * 1000.0, duration, self._detail)
+        )
+
+
+#: ``span(None, ...)``: no clock, no record; annotations land in a dict no
+#: one reads.
+_UNTIMED = nullcontext({})
+
+
 class Trace:
     """The mutable per-request span collector.
 
@@ -96,7 +144,7 @@ class Trace:
     request, one stage at a time), so there is no lock on the hot path.
     """
 
-    __slots__ = ("trace_id", "meta", "spans", "_opened", "_clock", "_finished")
+    __slots__ = ("trace_id", "meta", "spans", "_opened", "_clock", "_finished", "_held", "_time")
 
     def __init__(
         self,
@@ -106,7 +154,7 @@ class Trace:
         **meta: Any,
     ):
         self.trace_id = trace_id
-        self.meta: Dict[str, Any] = dict(meta)
+        self.meta: Dict[str, Any] = meta
         self.spans: List[Span] = []
         self._clock = clock
         self._opened = clock()
@@ -116,58 +164,37 @@ class Trace:
         """Attach request metadata (dataset, kind, status, ...) to the trace."""
         self.meta.update(meta)
 
-    @contextmanager
-    def span(self, name: str, **detail: Any) -> Iterator[Dict[str, Any]]:
-        """Record a :class:`Span` around the enclosed stage.
-
-        Yields the mutable ``detail`` dict so the stage can attach
-        annotations discovered mid-flight (e.g. per-cell engine timings).
-        """
-        start = self._clock()
-        info: Dict[str, Any] = dict(detail)
-        try:
-            yield info
-        finally:
-            stop = self._clock()
-            self.spans.append(
-                Span(
-                    name=name,
-                    start=(start - self._opened) * 1000.0,
-                    duration=(stop - start) * 1000.0,
-                    detail=info,
-                )
-            )
+    def span(self, name: str, **detail: Any) -> _Timed:
+        """Time the ``with`` block as a :class:`Span`; it gets the mutable ``detail``."""
+        return _Timed(self, name, detail)
 
     def finish(self) -> float:
-        """Close the trace; returns (and latches) its total duration in ms."""
+        """Close the trace; returns its duration in ms, latched with spans and time."""
         if self._finished is None:
             self._finished = (self._clock() - self._opened) * 1000.0
+            self._held, self._time = len(self.spans), time.time()
         return self._finished
 
     def to_json(self) -> Dict[str, Any]:
         document: Dict[str, Any] = {
             "trace": self.trace_id,
             "duration_ms": round(self.finish(), 3),
-            "spans": [record.to_json() for record in self.spans],
+            "spans": [record.to_json() for record in self.spans[: self._held]],
         }
         if self.meta:
             document["meta"] = self.meta
+        document["time"] = self._time
         return document
 
 
-@contextmanager
-def span(trace: Optional[Trace], name: str, **detail: Any) -> Iterator[Dict[str, Any]]:
+def span(trace: Optional[Trace], name: str, **detail: Any) -> Any:
     """``trace.span(name)`` that degrades to a no-op when tracing is off.
 
-    The instrumentation sites call this unconditionally; with ``trace=None``
-    the cost is one generator frame and an empty dict — no clock reads, no
-    allocation of span records.
+    With ``trace=None`` it returns one shared no-op: no clock read, no span.
     """
     if trace is None:
-        yield {}
-        return
-    with trace.span(name, **detail) as info:
-        yield info
+        return _UNTIMED
+    return _Timed(trace, name, detail)
 
 
 class TraceRecorder:
@@ -178,7 +205,7 @@ class TraceRecorder:
     total duration meets the threshold.  Both are hot-swappable via
     :meth:`configure` (an ``/admin/reload`` with a changed ``[observability]``
     section lands here).  Thread-safe under one short lock; recording a
-    finished trace is a dict insert.
+    finished trace is a dict insert, and its document is rendered when read.
     """
 
     def __init__(
@@ -200,7 +227,7 @@ class TraceRecorder:
         self._slow_query_ms = slow_query_ms
         self._clock = clock
         self._emit = emit if emit is not None else self._default_emit
-        self._traces: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self._traces: "OrderedDict[str, Trace]" = OrderedDict()
         self._recorded = 0
         self._slow = 0
 
@@ -212,15 +239,13 @@ class TraceRecorder:
         """Open a trace under ``trace_id`` (header value) or a minted id."""
         return Trace(accept_trace_id(trace_id), clock=self._clock, **meta)
 
-    def finish(self, trace: Trace) -> Dict[str, Any]:
+    def finish(self, trace: Trace) -> None:
         """Record a finished trace into the ring; emit the slow-query line."""
         duration = trace.finish()
-        document = trace.to_json()
-        document["time"] = time.time()
         slow_line = None
         with self._lock:
             self._recorded += 1
-            self._traces[trace.trace_id] = document
+            self._traces[trace.trace_id] = trace
             self._traces.move_to_end(trace.trace_id)
             while len(self._traces) > self._ring:
                 self._traces.popitem(last=False)
@@ -235,18 +260,18 @@ class TraceRecorder:
         if slow_line is not None:
             # Emitting outside the lock: a slow stderr must not stall tracing.
             self._emit(slow_line)
-        return document
 
     def get(self, trace_id: str) -> Optional[Dict[str, Any]]:
         """The finished trace document for ``trace_id``, or ``None``."""
         with self._lock:
-            return self._traces.get(trace_id)
+            trace = self._traces.get(trace_id)
+        return None if trace is None else trace.to_json()
 
     def recent(self, limit: int = 50) -> List[Dict[str, Any]]:
         """The most recently finished traces, newest first."""
         with self._lock:
-            documents = list(self._traces.values())
-        return documents[::-1][: max(limit, 0)]
+            traces = list(islice(reversed(self._traces.values()), max(limit, 0)))
+        return [trace.to_json() for trace in traces]
 
     def configure(
         self,

@@ -58,7 +58,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.exceptions import ReproError
 from repro.obs import span as obs_span
@@ -451,6 +451,7 @@ class AsyncServiceServer:
         if tracer is not None:
             trace = tracer.start(headers.get("x-repro-trace-id"), frontend="async")
         trace_id = trace.trace_id if trace is not None else None
+        extra: Optional[Dict[str, str]] = None
         try:
             if isinstance(payload, dict) and "queries" in payload:
                 status, document = await self._handle_batch(payload, loop, trace)
@@ -473,6 +474,7 @@ class AsyncServiceServer:
                     status, document = 429, wire.with_trace(
                         wire.rate_limited_answer(request, decision), trace_id
                     )
+                    extra = {"Retry-After": wire.retry_after_header(decision)}
                 else:
                     answer = self.service.peek(request, trace=trace)
                     if answer is not None:
@@ -501,7 +503,7 @@ class AsyncServiceServer:
         finally:
             if tracer is not None and trace is not None:
                 tracer.finish(trace)
-        await self._send(writer, status, document, keep_alive=keep_alive, log=log)
+        await self._send(writer, status, document, keep_alive=keep_alive, log=log, extra=extra)
         return keep_alive
 
     async def _handle_batch(
@@ -581,10 +583,11 @@ class AsyncServiceServer:
         *,
         keep_alive: bool,
         log: str,
+        extra: Optional[Mapping[str, str]] = None,
     ) -> None:
         body = json.dumps(payload).encode("utf-8")
         await self._send_raw(writer, code, body, "application/json",
-                             keep_alive=keep_alive, log=log)
+                             keep_alive=keep_alive, log=log, extra=extra)
 
     async def _send_raw(
         self,
@@ -595,9 +598,10 @@ class AsyncServiceServer:
         *,
         keep_alive: bool,
         log: str,
+        extra: Optional[Mapping[str, str]] = None,
     ) -> None:
         head = httphead.response_head(
-            code, content_type, len(body), keep_alive=keep_alive
+            code, content_type, len(body), keep_alive=keep_alive, extra=extra
         )
         writer.write(head + body)
         try:

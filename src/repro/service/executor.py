@@ -591,12 +591,17 @@ class QueryService:
                 key=key,
                 analyst=request.analyst,
             )
-            return dataclasses.replace(
-                stored,
+            return QueryAnswer(
+                dataset=stored.dataset,
+                kind=stored.kind,
+                status=stored.status,
+                key=stored.key,
+                value=stored.value,
                 cached=True,
-                coalesced=False,
-                epsilon_charged=0.0,
+                error=stored.error,
+                message=stored.message,
                 remaining=dataset.budget.remaining,
+                query=stored.query,
             )
         answer: Optional[QueryAnswer] = None
         if draining:
@@ -913,7 +918,7 @@ class QueryService:
             )
             with obs_span(trace, "commit", key=entry.key):
                 try:
-                    actual = entry.dataset.budget.commit(
+                    actual, remaining = entry.dataset.budget.commit(
                         entry.reservation, spent, label=entry.key
                     )
                 except CoordinatorUnavailableError as exc:
@@ -945,7 +950,7 @@ class QueryService:
                     key=entry.key,
                     value=value,
                     epsilon_charged=actual,
-                    remaining=entry.dataset.budget.remaining,
+                    remaining=remaining,
                     query=entry.request.query,
                 )
                 self._cache.put(entry.key, answer)
@@ -958,7 +963,7 @@ class QueryService:
                     error="mechanism_error",
                     message=message,
                     epsilon_charged=actual,
-                    remaining=entry.dataset.budget.remaining,
+                    remaining=remaining,
                     query=entry.request.query,
                 )
             entry.flight.answer = answer

@@ -200,6 +200,11 @@ class HeadHandler(BaseHTTPRequestHandler):
             self.server.count_disconnect()
             self.close_connection = True
 
+    def _refuse_unread(self, code: int, payload: Dict[str, Any]) -> None:
+        """Refuse a POST and hang up, so its unread body is never parsed as a request."""
+        self.close_connection = True
+        self._send_json(code, payload)
+
     def _read_json(self, *, allow_empty: bool = False) -> Any:
         length = self.head.length
         max_body = self.server.max_body
@@ -283,7 +288,7 @@ class _Handler(HeadHandler):
             elif self.path.startswith("/admin"):
                 self._handle_admin("POST")
             else:
-                self._send_json(404, wire.unknown_path("POST", self.path))
+                self._refuse_unread(404, wire.unknown_path("POST", self.path))
         except ClientDisconnect:
             self.server.count_disconnect()
             self.close_connection = True
@@ -416,7 +421,7 @@ class _Handler(HeadHandler):
 
     def _handle_register(self) -> None:
         if not self.server.allow_register:
-            self._send_json(403, wire.registration_disabled())
+            self._refuse_unread(403, wire.registration_disabled())
             return
         code, doc = wire.register_response(self.server.service, self._read_json())
         self._send_json(code, doc)

@@ -258,7 +258,7 @@ class BudgetManager:
             self._tokens += 1
             return Reservation(amount=amount, analyst=analyst, token=self._tokens)
 
-    def commit(self, reservation: Reservation, actual: float, *, label: str) -> float:
+    def commit(self, reservation: Reservation, actual: float, *, label: str) -> Tuple[float, float]:
         """Release ``reservation`` and record the measured spend ``actual``.
 
         ``actual`` may be below the reservation (the usual case: amplified
@@ -266,7 +266,8 @@ class BudgetManager:
         returned to the pool; it is recorded truthfully even in the
         (model-breaking) event it exceeds the reservation.  A zero ``actual``
         — an estimator that failed before touching any mechanism — releases
-        the reservation without a ledger entry.
+        the reservation without a ledger entry.  Returns ``(charged,
+        remaining)``, the budget left read under the same lock.
         """
         actual = float(actual)
         if actual < 0.0 or not np.isfinite(actual):
@@ -280,7 +281,8 @@ class BudgetManager:
                 # later re-added cap accounts the analyst exactly.
                 if reservation.analyst is not None and reservation.analyst in self._analyst_spent:
                     self._analyst_spent[reservation.analyst] += actual
-        return actual
+            remaining = max(self._capacity - self._ledger.total_epsilon - self._reserved, 0.0)
+        return actual, remaining
 
     def cancel(self, reservation: Reservation) -> None:
         """Release ``reservation`` without recording any spend."""
@@ -443,11 +445,11 @@ class RemoteBudgetManager:
         )
         return Reservation(amount=amount, analyst=analyst, token=int(response["token"]))
 
-    def commit(self, reservation: Reservation, actual: float, *, label: str) -> float:
+    def commit(self, reservation: Reservation, actual: float, *, label: str) -> Tuple[float, float]:
         response = self._client.call(
             "commit", token=reservation.token, actual=float(actual), label=str(label)
         )
-        return float(response["charged"])
+        return float(response["charged"]), float(response["remaining"])
 
     def cancel(self, reservation: Reservation) -> None:
         self._client.call("cancel", token=reservation.token)

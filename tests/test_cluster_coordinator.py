@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.cluster.coordinator import (
@@ -24,6 +25,7 @@ from repro.exceptions import (
     CoordinatorUnavailableError,
     DomainError,
 )
+from repro.service import Query, QueryRequest, QueryService
 from repro.service.registry import BudgetManager, RemoteBudgetManager
 
 
@@ -178,7 +180,7 @@ class TestRemoteBudgetManagerParity:
         try:
             for manager in (local, remote):
                 reservation = manager.reserve(2.0, analyst="alice")
-                assert manager.commit(reservation, 1.25, label="q1") == 1.25
+                assert manager.commit(reservation, 1.25, label="q1") == (1.25, 8.75)
                 cancelled = manager.reserve(4.0)
                 manager.cancel(cancelled)
                 with pytest.raises(BudgetExceededError):
@@ -255,7 +257,7 @@ class TestConcurrentExhaustion:
                     with record_lock:
                         refused.append((worker, attempt))
                     continue
-                charged = manager.commit(
+                charged, _ = manager.commit(
                     reservation, 1.0, label=f"w{worker}a{attempt}"
                 )
                 with record_lock:
@@ -279,3 +281,33 @@ class TestConcurrentExhaustion:
         finally:
             for client in clients:
                 client.close()
+
+
+class TestColdQueryRoundTrips:
+    """A cold query on a coordinator-owned budget costs reserve + commit only."""
+
+    class CountingClient:
+        def __init__(self):
+            self.coordinator = BudgetCoordinator()
+            self.calls = []
+
+        def call(self, op, **fields):
+            self.calls.append(op)
+            response = self.coordinator.handle({"id": 1, "op": op, **fields})
+            return CoordinatorClient._unwrap(op, response)
+
+    def test_cold_query_makes_exactly_reserve_and_commit(self):
+        client = self.CountingClient()
+        service = QueryService(seed=13)
+        manager = RemoteBudgetManager("group:g", client, capacity=2.0)
+        service.registry.create_group("g", 2.0, manager=manager)
+        service.register(
+            "d", np.random.default_rng(1).normal(50.0, 5.0, 10_000), None, group="g"
+        )
+        before = len(client.calls)
+        answer = service.submit(QueryRequest("d", Query("mean", 0.5)))
+        assert answer.status == "ok"
+        assert client.calls[before:] == ["reserve", "commit"]
+        # The answer's remaining is its own commit's, from the commit reply.
+        assert answer.remaining == 2.0 - answer.epsilon_charged
+        assert manager.remaining == answer.remaining

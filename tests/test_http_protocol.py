@@ -23,6 +23,7 @@ import pytest
 from repro.cluster.router import ShardEndpoint, make_router, serve_router
 from repro.obs import TraceRecorder
 from repro.service import AsyncServerThread, QueryService, make_server, serve_forever
+from repro.service import LimitSpec, RateLimiter, RateLimits
 from repro.service import httphead, wire
 
 MAX_BODY = 4096
@@ -195,6 +196,41 @@ class TestConnections:
         data = b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n"
         ((_, headers, _),), _ = _exchange(door.address, data)
         assert "server" not in headers and "date" not in headers
+
+
+class TestRefusedPostBodies:
+    """A POST refused by path never leaves its body to be read as a request."""
+
+    @pytest.mark.parametrize(
+        "path, status", [("/nope", 404), ("/datasets", 403), ("/admin/reload", 403)]
+    )
+    def test_pipelined_request_after_a_refused_post(self, door, path, status):
+        refused = f"POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{{}}"
+        data = refused.encode() + b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n"
+        responses, closed = _exchange(door.address, data, count=2, linger=0.5)
+        assert responses[0][0] == status
+        # Either the body was read and the next request answered, or the
+        # server hung up; never the body parsed as a request line.
+        assert responses[1] is None and closed or responses[1][0] == 200
+
+
+@pytest.mark.parametrize("kind", ["threaded", "async"])
+def test_rate_limited_answer_carries_retry_after(kind):
+    """Both service doors send the same ``Retry-After`` with a 429."""
+    limiter = RateLimiter(RateLimits(analyst=LimitSpec(rate=0.001, burst=1.0)))
+    if kind == "threaded":
+        address, stop = _threaded(_service(), limiter=limiter)
+    else:
+        runner = AsyncServerThread(
+            _service(), quiet=True, max_body=MAX_BODY, limiter=limiter
+        ).start()
+        address, stop = runner.server.server_address, runner.stop
+    try:
+        responses, _ = _exchange(address, _post() + _post(), count=2)
+    finally:
+        stop()
+    assert [code for code, _, _ in responses] == [200, 429]
+    assert responses[1][1]["retry-after"] == "1000"
 
 
 class TestHeaders:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 
 import pytest
@@ -20,6 +21,7 @@ from repro.obs import (
     verify_audit_log,
 )
 from repro.obs import audit as audit_module
+from repro.obs import trace as trace_module
 from repro.obs.audit import GENESIS
 from repro.obs.trace import accept_trace_id
 
@@ -47,6 +49,36 @@ class TestTraceIds:
         for trace_id in ids:
             assert len(trace_id) == 16
             int(trace_id, 16)
+
+    def test_ids_come_from_pooled_os_entropy(self, monkeypatch):
+        reads = []
+        real_urandom = os.urandom
+
+        def counting(size):
+            reads.append(size)
+            return real_urandom(size)
+
+        monkeypatch.setattr(os, "urandom", counting)
+        ids = [mint_trace_id() for _ in range(10_000)]
+        assert len(set(ids)) == 10_000
+        assert all(len(i) == 16 and set(i) <= set("0123456789abcdef") for i in ids)
+        assert len(reads) <= 20
+
+    def test_forked_child_mints_its_own_ids(self):
+        mint_trace_id()  # the child inherits a pool with ids left in it
+        reader, writer = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            try:
+                os.write(writer, " ".join(mint_trace_id() for _ in range(4)).encode())
+            finally:
+                os._exit(0)
+        os.close(writer)
+        with os.fdopen(reader) as pipe:
+            child = pipe.read().split()
+        os.waitpid(pid, 0)
+        parent = [mint_trace_id() for _ in range(4)]
+        assert len(child) == 4 and not set(child) & set(parent)
 
     def test_wellformed_header_honoured(self):
         assert accept_trace_id("my-trace.01_X") == "my-trace.01_X"
@@ -109,6 +141,7 @@ class TestTrace:
         json.dumps(document)  # JSON-safe throughout
 
     def test_module_span_noop_without_trace(self):
+        assert span(None, "anything") is span(None, "else", key="v")
         with span(None, "anything", key="v") as info:
             info["x"] = 1  # must be writable and discarded
         trace = Trace("t5", clock=FakeClock())
@@ -134,6 +167,43 @@ class TestTraceRecorder:
             "ring": 2, "held": 2, "recorded": 3,
             "slow_query_ms": None, "slow_queries": 0,
         }
+
+    def test_document_rendered_on_read_is_the_finish_time_document(self, monkeypatch):
+        clock = FakeClock()
+        recorder = TraceRecorder(ring=4, clock=clock)
+        trace = recorder.start("t-doc", frontend="threaded")
+        clock.tick(0.0012344)
+        with trace.span("parse", queries=2) as info:
+            clock.tick(0.0030006)
+            info["bytes"] = 17
+        with trace.span("serialize"):
+            clock.tick(0.0005)
+        trace.annotate(status="ok", cached=True)
+        monkeypatch.setattr(trace_module.time, "time", lambda: 1_700_000_000.25)
+        assert recorder.finish(trace) is None
+        with trace.span("late"):  # after finish: not part of the trace
+            clock.tick(1.0)
+        expected = {
+            "trace": "t-doc",
+            "duration_ms": 4.735,
+            "spans": [
+                {"name": "parse", "start_ms": 1.234, "duration_ms": 3.001,
+                 "detail": {"queries": 2, "bytes": 17}},
+                {"name": "serialize", "start_ms": 4.235, "duration_ms": 0.5},
+            ],
+            "meta": {"frontend": "threaded", "status": "ok", "cached": True},
+            "time": 1_700_000_000.25,
+        }
+        # Same keys in the same order, same rounding, same wall-clock time.
+        assert json.dumps(recorder.get("t-doc")) == json.dumps(expected)
+        assert json.dumps(recorder.recent()) == json.dumps([expected])
+
+    def test_recent_renders_only_the_newest(self):
+        recorder = TraceRecorder(ring=8, clock=FakeClock())
+        for name in "abcde":
+            recorder.finish(Trace(name, clock=FakeClock()))
+        assert [t["trace"] for t in recorder.recent(2)] == ["e", "d"]
+        assert recorder.recent(0) == [] and recorder.recent(-1) == []
 
     def test_start_accepts_header_id(self):
         recorder = TraceRecorder(ring=4)
@@ -288,6 +358,88 @@ class TestAuditChain:
         assert report["owners"][""]["spent"] == pytest.approx(
             threads * per_thread * 0.25
         )
+
+
+def _reference_lines(records, clock, prev=GENESIS, seq=0):
+    """The chain as a writer that ran ``json.dumps`` twice per record wrote it."""
+    lines = []
+    for event, fields in records:
+        seq += 1
+        record = dict(fields, seq=seq, time=clock(), event=event, prev=prev)
+        body = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        record["hash"] = prev = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        lines.append(line.encode("utf-8"))
+    return lines
+
+
+class TestAuditGoldenBytes:
+    """One encode per record writes the bytes of the two-encode writer."""
+
+    RECORDS = [
+        ("reserve", dict(budget="dataset:d", dataset="d", kind="mean",
+                         key="mean|d|ε=0.1", epsilon=0.1, analyst="zoë")),
+        ("commit", dict(budget="dataset:d", dataset="d", kind="mean",
+                        key="mean|d|ε=0.1", epsilon=0.07500000000000001,
+                        analyst="zoë", status="ok")),
+        ("cache_hit", dict(dataset="d", kind="mean", key="mean|d|ε=0.1",
+                           analyst=None)),
+        ("refuse", dict(dataset="d", kind="iqr", key="iqr|d", analyst="日本",
+                        reason="budget_exceeded")),
+        # A nested value holding the placeholder member itself.
+        ("admin_reload", dict(changes={"hash": "h" * 64, "prev": 1e-300})),
+        ("commit", dict(budget="group:g", epsilon=1.0, kind="quantile",
+                        note='quote " and \\ backslash')),
+    ]
+
+    @staticmethod
+    def _clock():
+        ticks = iter(1_700_000_000.0 + 0.1 * n for n in range(100))
+        return lambda: next(ticks)
+
+    def test_bytes_verify_and_replay(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        with AuditLog(path, clock=self._clock()) as log:
+            for event, fields in self.RECORDS:
+                log.record(event, **fields)
+        expected = _reference_lines(self.RECORDS, self._clock())
+        assert path.read_bytes() == b"".join(expected)
+        assert verify_audit_log(path) == (
+            len(self.RECORDS), json.loads(expected[-1])["hash"]
+        )
+        report = replay_spend(path)
+        assert report["owners"]["dataset:d"]["spent"] == 0.07500000000000001
+        assert report["owners"]["group:g"]["spent"] == 1.0
+
+    def test_resumed_chain_keeps_the_reference_bytes(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        first, rest = self.RECORDS[:3], self.RECORDS[3:]
+        clock = self._clock()
+        with AuditLog(path, clock=clock) as log:
+            for event, fields in first:
+                log.record(event, **fields)
+        with AuditLog(path, clock=clock) as log:
+            for event, fields in rest:
+                log.record(event, **fields)
+        assert path.read_bytes() == b"".join(
+            _reference_lines(self.RECORDS, self._clock())
+        )
+        assert verify_audit_log(path)[0] == len(self.RECORDS)
+
+    def test_one_encode_per_record(self, tmp_path, monkeypatch):
+        calls = []
+        encoder = audit_module._ENCODER
+
+        class Counting:
+            def encode(self, value):
+                calls.append(value["seq"])
+                return encoder.encode(value)
+
+        monkeypatch.setattr(audit_module, "_ENCODER", Counting())
+        with AuditLog(tmp_path / "audit.jsonl") as log:
+            for event, fields in self.RECORDS[:4]:
+                log.record(event, **fields)
+        assert calls == [1, 2, 3, 4]
 
 
 def _seal_chain(path, count=6, start=0):

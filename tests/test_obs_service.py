@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import threading
 import urllib.error
 import urllib.request
@@ -24,6 +25,8 @@ import numpy as np
 import pytest
 
 from repro.obs import AuditLog, TraceRecorder, replay_spend, verify_audit_log
+from repro.obs import audit as audit_module
+from repro.obs import trace as trace_module
 from repro.service import (
     AdminController,
     ObservabilityConfig,
@@ -98,7 +101,8 @@ class TestObservationIsFree:
         request = QueryRequest("d", Query(kind="mean", epsilon=0.5))
         trace = service.tracer.start(None)
         service.submit(request, trace=trace)
-        document = service.tracer.finish(trace)
+        service.tracer.finish(trace)
+        document = service.tracer.get(trace.trace_id)
         names = [span["name"] for span in document["spans"]]
         for expected in ("admission", "engine", "commit"):
             assert expected in names, names
@@ -333,6 +337,79 @@ class TestAsyncFrontEnd(_FrontEndContract):
         service = _observed_http_service(data, tmp_path)
         with AsyncServerThread(service, port=0, quiet=True) as thread:
             yield thread.url
+
+
+def _eager_document(trace):
+    """The trace document as the recorder built it at finish, eagerly."""
+    spans = []
+    for record in trace.spans:
+        span = {
+            "name": record.name,
+            "start_ms": round(record.start, 3),
+            "duration_ms": round(record.duration, 3),
+        }
+        if record.detail:
+            span["detail"] = record.detail
+        spans.append(span)
+    document = {"trace": trace.trace_id, "duration_ms": round(trace.finish(), 3),
+                "spans": spans}
+    if trace.meta:
+        document["meta"] = trace.meta
+    document["time"] = trace._time  # the wall clock read at finish
+    return document
+
+
+@pytest.mark.parametrize("frontend", ["threaded", "async"])
+def test_debug_trace_is_the_eagerly_built_document(frontend, data, tmp_path):
+    service = _observed_http_service(data, tmp_path)
+    query = {"dataset": "d", "kind": "mean", "epsilon": 0.5}
+    if frontend == "threaded":
+        server = make_server(service, port=0, quiet=True)
+        thread = serve_forever(server)
+        url, stop = server.url, lambda: (server.shutdown(), server.server_close())
+    else:
+        runner = AsyncServerThread(service, port=0, quiet=True).start()
+        url, stop = runner.url, runner.stop
+    try:
+        for trace_id in ("cold-one", "cached-one"):
+            _call(url, "/query", query, headers={"X-Repro-Trace-Id": trace_id})
+            status, found = _call(url, f"/debug/traces/{trace_id}")
+            assert status == 200
+            eager = _eager_document(service.tracer._traces[trace_id])
+            assert json.dumps(found["trace"]) == json.dumps(eager)
+    finally:
+        stop()
+    if frontend == "threaded":
+        thread.join(timeout=5)
+
+
+def test_cached_submit_encodes_once_and_reads_no_entropy(data, tmp_path, monkeypatch):
+    """The instruments' per-request syscalls and encodes stay counted."""
+    service = make_observed_service(data, tmp_path)
+    request = QueryRequest("d", Query(kind="mean", epsilon=0.5))
+    service.submit(request)
+    trace_module._reset_id_pool()
+    trace_module.mint_trace_id()  # warm: 511 pooled ids left
+    encodes, reads = [], []
+    encoder = audit_module._ENCODER
+
+    class Counting:
+        def encode(self, value):
+            encodes.append(value["event"])
+            return encoder.encode(value)
+
+    def urandom(size):
+        reads.append(size)
+        return b"\0" * size
+
+    monkeypatch.setattr(audit_module, "_ENCODER", Counting())
+    monkeypatch.setattr(os, "urandom", urandom)
+    trace = service.tracer.start(None)
+    answer = service.submit(request, trace=trace)
+    service.tracer.finish(trace)
+    assert answer.cached
+    assert encodes == ["cache_hit"]
+    assert reads == []
 
 
 class TestTracingDisabled:
