@@ -70,6 +70,7 @@ from repro.cluster.ring import HashRing, route_key
 from repro.exceptions import ReproError
 from repro.obs import span as obs_span
 from repro.service import wire
+from repro.service.app import decode_json, traces_response
 from repro.service.http import (
     DEFAULT_MAX_BODY,
     ClientDisconnect,
@@ -239,7 +240,7 @@ class _RouterHandler(HeadHandler):
                     PROMETHEUS_CONTENT_TYPE,
                 )
             elif self.path == "/debug/traces" or self.path.startswith("/debug/traces/"):
-                self._handle_traces()
+                self._send_body(*traces_response(self.server.tracer, self.path))
             else:
                 self._send_json(404, wire.unknown_path("GET", self.path))
         except _TRANSPORT_ERRORS:
@@ -247,17 +248,6 @@ class _RouterHandler(HeadHandler):
             self.close_connection = True
         except Exception as exc:  # noqa: BLE001 - must never leak a traceback
             self._send_json(500, wire.internal_error(exc))
-
-    def _handle_traces(self) -> None:
-        tracer = self.server.tracer
-        if tracer is None:
-            self._send_json(404, wire.tracing_disabled())
-            return
-        if self.path == "/debug/traces":
-            self._send_json(200, wire.traces_document(tracer))
-            return
-        code, doc = wire.trace_document(tracer, self.path[len("/debug/traces/"):])
-        self._send_json(code, doc)
 
     # -- POST: query forwarding ---------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 - stdlib casing
@@ -291,6 +281,11 @@ class _RouterHandler(HeadHandler):
         except Exception as exc:  # noqa: BLE001 - must never leak a traceback
             self._send_json(500, wire.internal_error(exc))
 
+    def _refuse_unread(self, code: int, payload: Dict[str, Any]) -> None:
+        """Refuse a POST and hang up, so its unread body is never parsed as a request."""
+        self.close_connection = True
+        self._send_json(code, payload)
+
     def _handle_query(self) -> None:
         """Route one ``POST /query`` (single or batch) under a router trace.
 
@@ -314,7 +309,7 @@ class _RouterHandler(HeadHandler):
         headers = {"X-Repro-Trace-Id": forward_id} if forward_id else {}
         try:
             with obs_span(trace, "parse"):
-                payload = self._read_json()
+                payload = decode_json(self._read_body())
             if isinstance(payload, dict) and "queries" in payload:
                 status, document = self._forward_batch(payload, headers, trace)
             else:

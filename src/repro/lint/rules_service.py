@@ -14,11 +14,12 @@ before any budget is reserved.
 
 **REP005** enforces the no-traceback contract of the serving front ends: a
 request-handling entry point (``do_GET``/``do_POST``-style methods in
-``service/http.py``, ``_handle_connection`` in ``service/aio.py``) must wrap
-its body in a broad ``except`` that maps the failure to a structured error
-document.  An uncaught exception in a handler thread kills the connection
-with a raw traceback — and in the threaded server, leaks the failure mode to
-the client instead of the audit log.
+``service/http.py``, ``_handle_connection`` in ``service/aio.py``,
+``handle`` of the request core in ``service/app.py``) must wrap its body in
+a broad ``except`` that maps the failure to a structured error document.  An
+uncaught exception in a handler thread kills the connection with a raw
+traceback — and in the threaded server, leaks the failure mode to the
+client instead of the audit log.
 
 **REP007** enforces the sketch contract: a runner registered with
 ``needs=("sorted", ...)`` promised the service it reads the dataset's cached
@@ -217,6 +218,7 @@ class FrontEndContainmentRule(Rule):
     _SCOPES: Tuple[Tuple[str, str], ...] = (
         ("service/http.py", "do_"),
         ("service/aio.py", "_handle_connection"),
+        ("service/app.py", "handle"),
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:

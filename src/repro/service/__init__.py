@@ -19,7 +19,8 @@ mean / variance / quantile / IQR / multivariate mean plus every adapted
 * speaks **JSON over HTTP** via two interchangeable stdlib front-ends —
   thread-per-connection (:mod:`repro.service.http`) and a single-event-loop
   asyncio server (:mod:`repro.service.aio`) that answers cache hits and
-  refusals without leaving the loop (CLI: ``repro serve [--frontend async]``
+  refusals without leaving the loop — both transports over one request
+  core (:mod:`repro.service.app`) (CLI: ``repro serve [--frontend async]``
   / ``repro query``);
 * boots **multi-dataset deployments from a declarative config**
   (:mod:`repro.service.config`: TOML/JSON sources, budgets, cache, workers)

@@ -287,7 +287,7 @@ class _InFlight:
         self.answer: Optional[QueryAnswer] = None
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Admitted:
     """Book-keeping for one admitted (reserved, not yet executed) request."""
 
@@ -296,6 +296,8 @@ class _Admitted:
     key: str
     reservation: Any
     flight: _InFlight
+    #: The reservation has met its commit (or an outage that keeps it held).
+    settled: bool = False
 
 
 class QueryService:
@@ -652,6 +654,39 @@ class QueryService:
         for entry in admitted:
             entry.flight.event.set()
 
+    def _settle(self, admitted: Sequence[_Admitted]) -> None:
+        """Cancel every reservation that met no commit, then audit each cancel.
+
+        Reached on every exit of a batch: after a clean run nothing is left,
+        after a failure (the engine, a commit, an audit write, a later
+        admission) each stranded reservation is returned.  All cancels run
+        before the first audit write, so an audit log that keeps failing
+        cannot leave budget held.
+        """
+        cancelled = []
+        for entry in admitted:
+            if entry.settled:
+                continue
+            try:
+                entry.dataset.budget.cancel(entry.reservation)
+            except CoordinatorUnavailableError:
+                # The coordinator holds the reservation; unreachable means it
+                # stays held (conservative: the joint cap can only
+                # under-admit, never over-spend).  Keep returning the rest.
+                continue
+            entry.settled = True
+            cancelled.append(entry)
+        for entry in cancelled:
+            self._audit_event(
+                "cancel",
+                budget=entry.dataset.budget_owner,
+                dataset=entry.request.dataset,
+                kind=entry.request.query.kind,
+                key=entry.key,
+                epsilon=entry.reservation.amount,
+                analyst=entry.request.analyst,
+            )
+
     def _invalid(self, request: QueryRequest, key: str, error: str, exc: Exception) -> QueryAnswer:
         return QueryAnswer(
             dataset=request.dataset,
@@ -789,9 +824,12 @@ class QueryService:
             if owned:
                 self._execute_admitted([entry for _, entry in owned], trace=trace)
         finally:
-            # Whatever happened, release the keys: a waiter must never block
-            # forever.
-            self._release([entry for _, entry in owned])
+            # Whatever happened, return what was reserved and not committed,
+            # then release the keys: a waiter must never block forever.
+            try:
+                self._settle([entry for _, entry in owned])
+            finally:
+                self._release([entry for _, entry in owned])
         for position, entry in owned:
             answers[position] = entry.flight.answer
 
@@ -876,40 +914,16 @@ class QueryService:
         # Per-cell wall-clock only when a trace wants it: the profile hook
         # observes timings without touching scheduling or results.
         profile: Optional[Dict[int, float]] = {} if trace is not None else None
-        try:
-            with obs_span(trace, "engine", cells=len(cells)) as engine_info:
-                grid = run_grid(cells, pool=self._pool, workers=1, profile=profile)
-                if profile:
-                    # Group members share their group's wall-clock time.
-                    engine_info["per_cell_ms"] = {
-                        entry.key: round(
-                            profile.get(locator[index][0], 0.0) * 1000.0, 3
-                        )
-                        for index, entry in enumerate(admitted)
-                    }
-        except BaseException:
-            # Infrastructure failure before any estimator result came back:
-            # no release happened, so the reservations are simply returned.
-            for entry in admitted:
-                try:
-                    entry.dataset.budget.cancel(entry.reservation)
-                except CoordinatorUnavailableError:
-                    # The coordinator holds the reservation; unreachable
-                    # means it stays held (conservative: the joint cap can
-                    # only under-admit, never over-spend).  Keep releasing
-                    # the remaining entries.
-                    continue
-                self._audit_event(
-                    "cancel",
-                    budget=entry.dataset.budget_owner,
-                    dataset=entry.request.dataset,
-                    kind=entry.request.query.kind,
-                    key=entry.key,
-                    epsilon=entry.reservation.amount,
-                    analyst=entry.request.analyst,
-                )
-            raise
-
+        with obs_span(trace, "engine", cells=len(cells)) as engine_info:
+            grid = run_grid(cells, pool=self._pool, workers=1, profile=profile)
+            if profile:
+                # Group members share their group's wall-clock time.
+                engine_info["per_cell_ms"] = {
+                    entry.key: round(
+                        profile.get(locator[index][0], 0.0) * 1000.0, 3
+                    )
+                    for index, entry in enumerate(admitted)
+                }
         for index, entry in enumerate(admitted):
             cell_index, member = locator[index]
             outcome = grid[cell_index].results[0]
@@ -921,12 +935,14 @@ class QueryService:
                     actual, remaining = entry.dataset.budget.commit(
                         entry.reservation, spent, label=entry.key
                     )
+                    entry.settled = True
                 except CoordinatorUnavailableError as exc:
                     # The release already happened but its spend could not
                     # be committed: the coordinator keeps the (larger)
                     # reservation held, so the joint cap stays safe, and
                     # the answer reports the outage instead of the value —
                     # an uncommitted release must not be served or cached.
+                    entry.settled = True
                     entry.flight.answer = self._unavailable(
                         entry.request, entry.key, str(exc)
                     )

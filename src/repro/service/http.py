@@ -1,63 +1,12 @@
-"""Thin HTTP front-end for :class:`~repro.service.QueryService`.
+"""The threaded HTTP/1.1 door of :class:`~repro.service.QueryService`.
 
-Pure stdlib (:mod:`http.server`), JSON in / JSON out.  The threading server
-leans on the service's own locks: budget admission is atomic, identical
-concurrent queries coalesce, and every answer is a structured JSON object —
-a refusal is a *response*, never an exception escaping into the log.
-
-Every response body is built by :mod:`repro.service.wire` (the v1 envelope:
-``"api": 1`` plus a structured ``error`` object), so this module and the
-async front-end cannot drift apart on document shapes.
-
-Protocol
---------
-``GET /health``
-    ``{"api": 1, "status": "ok", "datasets": [...names...]}`` — liveness.
-``GET /datasets``
-    Per-dataset budget snapshots (including each dataset's ``kinds``
-    allowlist and ``draining`` flag) plus cache counters (the
-    :meth:`QueryService.stats` document).
-``GET /kinds``
-    The estimator-spec registry catalogue: every servable kind with its
-    typed parameter schema, reservation factor, minimum record count and
-    result shape — the authoritative list a client should consult before
-    querying.  An unknown ``kind`` in a query is answered with a structured
-    400 whose body carries the same list (``error.code = "unknown_kind"``).
-``GET /metrics``
-    Prometheus text exposition (version 0.0.4): the ``stats()`` counters
-    plus per-kind / per-outcome request-latency histograms and — when
-    observability is on — per-kind / per-analyst epsilon-spent gauges.
-``GET /debug/traces`` / ``GET /debug/traces/<id>``
-    Recent request traces from the bounded in-memory ring, newest first
-    (404 ``tracing_disabled`` without an ``[observability]`` tracer).  A
-    traced ``POST /query`` response echoes its ``"trace"`` id — minted per
-    request, or honoured from an ``X-Repro-Trace-Id`` header — for lookup
-    here or via ``repro trace <id>``.
-``POST /query``
-    Body: a query object —
-    ``{"dataset": ..., "kind": ..., "epsilon": ..., "beta": ...,``
-    ``"params": {"levels": [...]}, "analyst": ...}`` — or
-    ``{"queries": [...]}`` with a list of such objects, which is answered
-    as one batch through the service's engine-pool fan-out.  (Kind
-    parameters live under ``params`` only; the legacy top-level ``levels``
-    alias is gone with its deprecation window.)  Response: the answer
-    document (or ``{"answers": [...]}``).  HTTP status mirrors the
-    outcome: 200 for ``ok``/``failed`` (a failed propose-test-release is a
-    valid, budgeted DP outcome), 403 for budget refusals, 404 for unknown
-    datasets, 400 for malformed requests, 429 for per-analyst/per-kind
-    rate limits (refused *before* admission: the budget ledger is
-    untouched), 503 ``coordinator_unavailable`` when the dataset draws on
-    a cluster joint budget whose coordinator is unreachable.  Batch
-    responses are always 200; inspect each answer's ``status``.
-``POST /datasets``
-    Registration (only when the server was built with
-    ``allow_register=True``): ``{"name": ..., "values": [...],``
-    ``"budget": ..., "analyst_budgets": {...}}`` → 201.
-``GET /admin/state`` / ``POST /admin/reload`` / ``POST /admin/drain``
-    The live control plane (:class:`~repro.service.admin.AdminController`),
-    authenticated with ``Authorization: Bearer <token>`` or
-    ``X-Admin-Token``; 403 ``admin_disabled`` when no controller (or no
-    secret) is configured.
+Pure stdlib: :mod:`http.server`'s thread-per-connection loop over the shared
+head codec of :mod:`repro.service.httphead`.  Each request is read here and
+answered by the request core (:class:`repro.service.app.App`), which owns
+every route and the protocol reference; deferred work (a cold query, a
+batch, a registration, an admin mutation) runs inline on the connection's
+thread.  The threading server leans on the service's own locks: budget
+admission is atomic and identical concurrent queries coalesce.
 
 Hardening: the request head is parsed by :mod:`repro.service.httphead`,
 the codec all three front doors share, never by :mod:`http.server`'s
@@ -65,31 +14,29 @@ the codec all three front doors share, never by :mod:`http.server`'s
 JSON envelope and closes the connection: an unparseable request line or a
 malformed header line (obs-fold included) is 400, an over-long request line
 414, an over-long header line or more than 100 headers 431, ``HTTP/2`` or
-later 505, and a non-integer, negative or conflicting ``Content-Length``
-400.  A declared body beyond ``max_body`` bytes is answered 413 without
-reading it, also under ``Expect: 100-continue``; any other expected body is
-invited with ``100 Continue`` first.  Each response leaves as one write
-(status line, ``Content-Type``, ``Content-Length``, ``Connection``, body).
-A client that disconnects mid-request or mid-response is swallowed
-silently and counted in the ``frontend`` section of ``GET /datasets`` — a
-refusal is a response and a disconnect is a counter, never a traceback in
-the server log.
+later 505, a method other than ``GET``/``POST`` 405, and a non-integer,
+negative or conflicting ``Content-Length`` 400.  A declared body beyond
+``max_body`` bytes is answered 413 without reading it, also under
+``Expect: 100-continue``; any other body is read in full (invited with
+``100 Continue`` first when expected) before the core answers, so a
+refused request keeps its connection.  Each response leaves as one write
+(status line, ``Content-Type``, ``Content-Length``, ``Connection``, extra
+headers, body).  A client that disconnects mid-request or mid-response is
+swallowed silently and counted in the ``frontend`` section of
+``GET /datasets`` — a disconnect is a counter, never a traceback in the
+server log.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.exceptions import ReproError
-from repro.obs import span as obs_span
 from repro.service import httphead, wire
+from repro.service.app import App, json_response
 from repro.service.executor import QueryService
-from repro.service.metrics import PROMETHEUS_CONTENT_TYPE, render_prometheus
-from repro.service.queries import InvalidQueryError
 
 __all__ = ["DEFAULT_MAX_BODY", "HeadHandler", "ServiceServer", "make_server", "serve_forever"]
 
@@ -168,15 +115,8 @@ class HeadHandler(BaseHTTPRequestHandler):
         self.close_connection = True
         self._send_json(code, wire.bad_request(message or self.responses[code][0]))
 
-    def _send_json(
-        self,
-        code: int,
-        payload: Dict[str, Any],
-        *,
-        headers: Optional[Mapping[str, str]] = None,
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self._send_body(code, body, "application/json", headers)
+    def _send_json(self, code: int, payload: Dict[str, Any]) -> None:
+        self._send_body(*json_response(code, payload))
 
     def _send_body(
         self,
@@ -200,37 +140,26 @@ class HeadHandler(BaseHTTPRequestHandler):
             self.server.count_disconnect()
             self.close_connection = True
 
-    def _refuse_unread(self, code: int, payload: Dict[str, Any]) -> None:
-        """Refuse a POST and hang up, so its unread body is never parsed as a request."""
-        self.close_connection = True
-        self._send_json(code, payload)
-
-    def _read_json(self, *, allow_empty: bool = False) -> Any:
+    def _read_body(self) -> bytes:
+        """The request body (``b""`` when none); raises on 413 and on hang-up."""
         length = self.head.length
         max_body = self.server.max_body
         if max_body is not None and length > max_body:
             # The body stays unread, so keep-alive framing cannot continue.
             self.close_connection = True
             raise PayloadTooLarge
-        raw = b""
-        if length:
-            try:
-                if self.head.expects_continue:
-                    self.wfile.write(httphead.CONTINUE)
-                raw = self.rfile.read(length)
-            except _DISCONNECT_ERRORS as exc:
-                raise ClientDisconnect from exc
-            if len(raw) < length:
-                # The client promised `length` bytes and hung up early.
-                raise ClientDisconnect
-        if not raw:
-            if allow_empty:
-                return None
-            raise InvalidQueryError("request body is empty")
+        if not length:
+            return b""
         try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise InvalidQueryError(f"request body is not valid JSON: {exc}") from exc
+            if self.head.expects_continue:
+                self.wfile.write(httphead.CONTINUE)
+            raw = self.rfile.read(length)
+        except _DISCONNECT_ERRORS as exc:
+            raise ClientDisconnect from exc
+        if len(raw) < length:
+            # The client promised `length` bytes and hung up early.
+            raise ClientDisconnect
+        return raw
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib name
         if self.server.quiet:
@@ -239,207 +168,25 @@ class HeadHandler(BaseHTTPRequestHandler):
 
 
 class _Handler(HeadHandler):
-    """Request handler; the service instance hangs off the server object."""
+    """Reads each request, lets the server's :class:`App` answer, writes it."""
 
     server: "ServiceServer"
 
-    # -- routes ------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - stdlib casing
-        try:
-            if self.path == "/health":
-                self._send_json(200, wire.health_document(self.server.service))
-            elif self.path == "/datasets":
-                self._send_json(
-                    200,
-                    wire.stats_document(
-                        self.server.service, frontend=self.server.frontend_stats()
-                    ),
-                )
-            elif self.path == "/kinds":
-                self._send_json(200, wire.kinds_document(self.server.service))
-            elif self.path == "/metrics":
-                self._send_body(
-                    200,
-                    render_prometheus(
-                        self.server.service,
-                        frontend=self.server.frontend_stats(),
-                        limiter=self.server.limiter,
-                    ).encode("utf-8"),
-                    PROMETHEUS_CONTENT_TYPE,
-                )
-            elif self.path == "/debug/traces" or self.path.startswith("/debug/traces/"):
-                self._handle_traces()
-            elif self.path.startswith("/admin"):
-                self._handle_admin("GET")
-            else:
-                self._send_json(404, wire.unknown_path("GET", self.path))
-        except _DISCONNECT_ERRORS:
-            self.server.count_disconnect()
-            self.close_connection = True
-        except Exception as exc:  # noqa: BLE001 - must never leak a traceback
-            self._send_json(500, wire.internal_error(exc))
-
     def do_POST(self) -> None:  # noqa: N802 - stdlib casing
         try:
-            if self.path == "/query":
-                self._handle_query()
-            elif self.path == "/datasets":
-                self._handle_register()
-            elif self.path.startswith("/admin"):
-                self._handle_admin("POST")
-            else:
-                self._refuse_unread(404, wire.unknown_path("POST", self.path))
+            result = self.server.app.handle(
+                self.command, self.path, self.head.headers, self._read_body()
+            )
+            self._send_body(*(result() if callable(result) else result))
         except ClientDisconnect:
             self.server.count_disconnect()
             self.close_connection = True
         except PayloadTooLarge:
             self._send_json(413, wire.too_large(self.head.length, self.server.max_body))
-        except _DISCONNECT_ERRORS:
-            self.server.count_disconnect()
-            self.close_connection = True
-        except ReproError as exc:
-            self._send_json(400, wire.invalid_request(exc))
         except Exception as exc:  # noqa: BLE001 - must never leak a traceback
             self._send_json(500, wire.internal_error(exc))
 
-    def _check_rate_limit(self, request) -> Optional[Any]:
-        """The pre-admission QoS gate: a decision means *refuse with 429*.
-
-        Runs before any budget or cache access, so a 429 costs the ledger
-        nothing; the refusal is still visible in the latency histogram under
-        the ``rate_limited`` outcome (at zero recorded latency).
-        """
-        limiter = self.server.limiter
-        if limiter is None:
-            return None
-        decision = limiter.check(request.analyst, request.query.kind)
-        if decision is not None:
-            self.server.service.metrics.observe(
-                request.query.kind, "rate_limited", 0.0
-            )
-            wire.audit_rate_limit(self.server.service, request, decision)
-        return decision
-
-    def _handle_query(self) -> None:
-        """Open (and always finish) the per-request trace around the answer path.
-
-        The trace is finished *before* the response bytes leave, so a client
-        that reads the echoed trace id off the answer can immediately inspect
-        it via ``GET /debug/traces/<id>`` — there is no window where the
-        answer is visible but its trace is not.
-        """
-        tracer = self.server.service.tracer
-        trace = None
-        if tracer is not None:
-            trace = tracer.start(
-                self.head.headers.get("x-repro-trace-id"), frontend="threaded"
-            )
-        headers: Optional[Dict[str, str]] = None
-        try:
-            status, document, headers = self._answer_query(trace)
-        except ReproError as exc:
-            # Answered here (not in do_POST) so the 400 document can echo the
-            # trace id like every other traced response.
-            if trace is not None:
-                trace.annotate(status="invalid")
-            status, document = 400, wire.with_trace(
-                wire.invalid_request(exc),
-                trace.trace_id if trace is not None else None,
-            )
-        finally:
-            if tracer is not None and trace is not None:
-                tracer.finish(trace)
-        self._send_json(status, document, headers=headers)
-
-    def _answer_query(self, trace) -> Tuple[int, Dict[str, Any], Optional[Dict[str, str]]]:
-        service = self.server.service
-        trace_id = trace.trace_id if trace is not None else None
-        with obs_span(trace, "read_body"):
-            payload = self._read_json()
-        if isinstance(payload, dict) and "queries" in payload:
-            entries = payload["queries"]
-            if not isinstance(entries, list):
-                raise InvalidQueryError("'queries' must be a list of query objects")
-            with obs_span(trace, "parse", queries=len(entries)):
-                parsed = [wire.parse_request(entry) for entry in entries]
-            if trace is not None:
-                trace.annotate(queries=len(parsed))
-            docs: List[Optional[Dict[str, Any]]] = [None] * len(parsed)
-            admitted = []
-            with obs_span(trace, "rate_check"):
-                for index, request in enumerate(parsed):
-                    decision = self._check_rate_limit(request)
-                    if decision is not None:
-                        docs[index] = wire.rate_limited_answer(request, decision)
-                    else:
-                        admitted.append(index)
-            answers = service.submit_many(
-                [parsed[index] for index in admitted], trace=trace
-            )
-            with obs_span(trace, "serialize"):
-                for index, answer in zip(admitted, answers):
-                    docs[index] = wire.answer_document(answer)
-                document = wire.with_trace(wire.answers_document(docs), trace_id)
-            return 200, document, None
-        with obs_span(trace, "parse"):
-            request = wire.parse_request(payload)
-        if trace is not None:
-            trace.annotate(
-                dataset=request.dataset,
-                kind=request.query.kind,
-                analyst=request.analyst,
-            )
-        with obs_span(trace, "rate_check") as info:
-            decision = self._check_rate_limit(request)
-            info["limited"] = decision is not None
-        if decision is not None:
-            if trace is not None:
-                trace.annotate(status="rate_limited")
-            return (
-                429,
-                wire.with_trace(wire.rate_limited_answer(request, decision), trace_id),
-                {"Retry-After": wire.retry_after_header(decision)},
-            )
-        answer = service.submit(request, trace=trace)
-        if trace is not None:
-            trace.annotate(status=answer.status, cached=answer.cached)
-        with obs_span(trace, "serialize"):
-            document = wire.with_trace(wire.answer_document(answer), trace_id)
-        return wire.answer_status_code(answer), document, None
-
-    def _handle_traces(self) -> None:
-        tracer = self.server.service.tracer
-        if tracer is None:
-            self._send_json(404, wire.tracing_disabled())
-            return
-        if self.path == "/debug/traces":
-            self._send_json(200, wire.traces_document(tracer))
-            return
-        trace_id = self.path[len("/debug/traces/"):]
-        code, doc = wire.trace_document(tracer, trace_id)
-        self._send_json(code, doc)
-
-    def _handle_register(self) -> None:
-        if not self.server.allow_register:
-            self._refuse_unread(403, wire.registration_disabled())
-            return
-        code, doc = wire.register_response(self.server.service, self._read_json())
-        self._send_json(code, doc)
-
-    def _handle_admin(self, method: str) -> None:
-        admin = self.server.admin
-        if admin is None:
-            if method == "POST":
-                self._read_json(allow_empty=True)  # keep keep-alive framing
-            self._send_json(403, wire.admin_disabled())
-            return
-        token = wire.bearer_token(
-            self.head.headers.get("authorization"),
-            self.head.headers.get("x-admin-token"),
-        )
-        payload = self._read_json(allow_empty=True) if method == "POST" else None
-        code, doc = admin.handle(method, self.path, payload, token)
-        self._send_json(code, doc)
+    do_GET = do_POST  # the core routes both methods
 
 
 class ServiceServer(ThreadingHTTPServer):
@@ -463,11 +210,12 @@ class ServiceServer(ThreadingHTTPServer):
     ):
         super().__init__(address, _Handler)
         self.service = service
-        self.allow_register = allow_register
         self.quiet = quiet
         self.max_body = max_body
-        self.limiter = limiter
-        self.admin = admin
+        self.app = App(
+            service, limiter=limiter, admin=admin, allow_register=allow_register,
+            frontend="threaded", frontend_stats=self.frontend_stats,
+        )
         self._stats_lock = threading.Lock()
         self._disconnects = 0
 

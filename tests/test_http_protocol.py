@@ -48,6 +48,14 @@ def _threaded(service, **kwargs):
     return server.server_address[:2], stop
 
 
+def _service_door(kind, **kwargs):
+    """``(address, stop)`` of a running threaded or async service door."""
+    if kind == "threaded":
+        return _threaded(_service(), **kwargs)
+    runner = AsyncServerThread(_service(), quiet=True, max_body=MAX_BODY, **kwargs).start()
+    return runner.server.server_address, runner.stop
+
+
 def _routed(shards):
     router = make_router(
         shards, quiet=True, max_body=MAX_BODY, tracer=TraceRecorder(ring=64)
@@ -65,11 +73,8 @@ def _routed(shards):
 @pytest.fixture(params=["threaded", "async", "router"])
 def door(request):
     """A running front door: ``address`` to dial, ``stop()`` when done."""
-    if request.param == "threaded":
-        address, stop = _threaded(_service())
-    elif request.param == "async":
-        runner = AsyncServerThread(_service(), quiet=True, max_body=MAX_BODY).start()
-        address, stop = runner.server.server_address, runner.stop
+    if request.param != "router":
+        address, stop = _service_door(request.param)
     else:
         shard_address, stop_shard = _threaded(_service())
         address, stop_router = _routed([ShardEndpoint(0, *shard_address)])
@@ -209,28 +214,61 @@ class TestRefusedPostBodies:
         data = refused.encode() + b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n"
         responses, closed = _exchange(door.address, data, count=2, linger=0.5)
         assert responses[0][0] == status
-        # Either the body was read and the next request answered, or the
-        # server hung up; never the body parsed as a request line.
-        assert responses[1] is None and closed or responses[1][0] == 200
+        if door.kind == "router":
+            # The router may hang up rather than read a body it refuses;
+            # never is the body parsed as a request line.
+            assert responses[1] is None and closed or responses[1][0] == 200
+        else:
+            # The service doors read every body before the core answers.
+            assert responses[1][0] == 200 and not closed
 
 
 @pytest.mark.parametrize("kind", ["threaded", "async"])
 def test_rate_limited_answer_carries_retry_after(kind):
     """Both service doors send the same ``Retry-After`` with a 429."""
     limiter = RateLimiter(RateLimits(analyst=LimitSpec(rate=0.001, burst=1.0)))
-    if kind == "threaded":
-        address, stop = _threaded(_service(), limiter=limiter)
-    else:
-        runner = AsyncServerThread(
-            _service(), quiet=True, max_body=MAX_BODY, limiter=limiter
-        ).start()
-        address, stop = runner.server.server_address, runner.stop
+    address, stop = _service_door(kind, limiter=limiter)
     try:
         responses, _ = _exchange(address, _post() + _post(), count=2)
     finally:
         stop()
     assert [code for code, _, _ in responses] == [200, 429]
     assert responses[1][1]["retry-after"] == "1000"
+
+
+class TestServiceDoorsAgree:
+    """The threaded and async doors answer through one request core."""
+
+    @pytest.fixture(params=["threaded", "async"])
+    def service_door(self, request):
+        address, stop = _service_door(request.param)
+        yield address
+        stop()
+
+    @pytest.mark.parametrize("body", [b"", b"{not json"])
+    def test_unreadable_query_echoes_its_trace_id(self, service_door, body):
+        data = _post(body, "X-Repro-Trace-Id: unreadable-1", f"Content-Length: {len(body)}")
+        ((code, _, payload),), closed = _exchange(service_door, data, linger=0.5)
+        document = json.loads(payload)
+        assert code == 400 and not closed
+        assert document["error"]["code"] == "invalid_request"
+        assert document["trace"] == "unreadable-1"
+
+    def test_oversized_body_to_an_unknown_path_is_413(self, service_door):
+        data = f"POST /nope HTTP/1.1\r\nHost: x\r\nContent-Length: {MAX_BODY + 1}\r\n\r\n"
+        ((code, headers, body),), closed = _exchange(service_door, data.encode())
+        assert code == 413 and headers["connection"] == "close" and closed
+        assert json.loads(body)["error"]["code"] == "payload_too_large"
+
+    def test_traced_query_has_the_same_spans_on_both_doors(self, service_door):
+        data = _post(QUERY, "X-Repro-Trace-Id: spans-1", "Connection: close")
+        ((code, _, _),), _ = _exchange(service_door, data)
+        assert code == 200
+        probe = b"GET /debug/traces/spans-1 HTTP/1.1\r\nConnection: close\r\n\r\n"
+        ((code, _, body),), _ = _exchange(service_door, probe)
+        spans = [span["name"] for span in json.loads(body)["trace"]["spans"]]
+        assert spans[:3] == ["parse", "rate_check", "admission_probe"]
+        assert "read_body" not in spans
 
 
 class TestHeaders:

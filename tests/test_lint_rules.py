@@ -463,6 +463,35 @@ class TestFrontEndContainment:
         assert [f.rule_id for f in findings] == ["REP005"]
         assert findings[0].line == 2
 
+    def test_request_core_handle_in_scope(self):
+        findings = run_rule(
+            FrontEndContainmentRule(),
+            """\
+            class App:
+                def handle(self, method, path, headers, body):
+                    return self._route(method, path, headers, body)
+            """,
+            display="src/repro/service/app.py",
+        )
+        assert [f.rule_id for f in findings] == ["REP005"]
+        assert findings[0].line == 2
+
+    def test_contained_request_core_handle_clean(self):
+        findings = run_rule(
+            FrontEndContainmentRule(),
+            """\
+            class App:
+                def handle(self, method, path, headers, body):
+                    trace = None
+                    try:
+                        return self._route(method, path, headers, body)
+                    except Exception as exc:
+                        return self._failure(trace, exc)
+            """,
+            display="src/repro/service/app.py",
+        )
+        assert findings == []
+
 
 # ---------------------------------------------------------------------------
 # REP006 — audit-trail coverage of budget/cache touch-points

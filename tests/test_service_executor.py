@@ -559,6 +559,65 @@ class TestAtomicAdmission:
         assert results["again"].ok
         assert budget.spent == results["again"].epsilon_charged
 
+    @staticmethod
+    def _fail_audit_write(service, monkeypatch, event, nth):
+        """Make the ``nth`` (1-based) audit write of ``event`` raise ``OSError``."""
+        real_record = service.audit.record
+        seen = []
+
+        def record(name, **fields):
+            if name == event:
+                seen.append(name)
+                if len(seen) == nth:
+                    raise OSError("disk full")
+            return real_record(name, **fields)
+
+        monkeypatch.setattr(service.audit, "record", record)
+
+    @staticmethod
+    def _assert_settled(service, cancelled_keys):
+        """Nothing reserved or claimed; one audited cancel per stranded entry."""
+        budget = service.registry.get("d").budget
+        assert budget.reserved == 0.0
+        with service._coalesce_lock:
+            assert not service._inflight
+        records = [
+            json.loads(line) for line in service.audit.path.read_text().splitlines()
+        ]
+        cancels = [record for record in records if record["event"] == "cancel"]
+        assert [record["key"] for record in cancels] == cancelled_keys
+
+    def test_failed_reserve_record_mid_batch_cancels_earlier_claims(
+        self, data, tmp_path, monkeypatch
+    ):
+        """The second entry's ``reserve`` write fails after the first entry
+        was admitted: the first reservation is returned, not stranded."""
+        service = self._service(data, tmp_path, AnswerCache())
+        self._fail_audit_write(service, monkeypatch, "reserve", 2)
+        first = QueryRequest("d", Query("mean", 0.5))
+        with pytest.raises(OSError):
+            service.submit_many([first, QueryRequest("d", Query("iqr", 0.5))])
+        assert service.registry.get("d").budget.spent == 0.0
+        self._assert_settled(service, [first.query.canonical_key("d")])
+
+    def test_failed_commit_record_cancels_the_later_entries(
+        self, data, tmp_path, monkeypatch
+    ):
+        """The first ``commit`` write fails: that spend stays committed and
+        every later entry's reservation is cancelled, one audited cancel each."""
+        service = self._service(data, tmp_path, AnswerCache())
+        self._fail_audit_write(service, monkeypatch, "commit", 1)
+        requests = [
+            QueryRequest("d", Query(kind, 0.5)) for kind in ("mean", "iqr", "variance")
+        ]
+        with pytest.raises(OSError):
+            service.submit_many(requests)
+        budget = service.registry.get("d").budget
+        assert 0.0 < budget.spent <= 0.5
+        self._assert_settled(
+            service, [request.query.canonical_key("d") for request in requests[1:]]
+        )
+
     def test_every_entry_point_at_once_under_fast_switching(self, data, tmp_path):
         """Eight threads ask for one key through peek-then-submit, submit and
         a batch with a duplicate, with the interpreter switching threads
