@@ -50,7 +50,7 @@ Fails (exit 1) if any expectation is violated or if the server log contains
 a stack trace.  Run from the repo root::
 
     PYTHONPATH=src python scripts/serve_and_drive.py [--queries 200]
-    PYTHONPATH=src python scripts/serve_and_drive.py --frontend async
+    PYTHONPATH=src python scripts/serve_and_drive.py --frontend threaded
 """
 
 from __future__ import annotations
@@ -858,7 +858,7 @@ def main() -> int:
     parser.add_argument("--queries", type=int, default=200)
     parser.add_argument("--budget", type=float, default=3.0)
     parser.add_argument("--frontend", choices=["threaded", "async"],
-                        default="threaded")
+                        default="async")
     parser.add_argument("--audit-log", type=Path, default=None,
                         help="where to write the audit trail (default: inside "
                              "the temp dir; point it somewhere durable to "

@@ -33,12 +33,14 @@ answered over JSON until the budget runs out (identical repeated queries are
 served from cache at zero marginal epsilon).  ``--config serving.toml``
 replaces the single-column arguments with a declarative multi-dataset
 deployment (per-dataset sources and budgets, joint budget groups, cache and
-worker settings), and ``--frontend async`` swaps the thread-per-connection
-server for the asyncio front-end that answers cache hits and refusals
-directly on the event loop.  ``query`` is the matching client::
+worker settings).  The default front-end is the asyncio door: one event
+loop answers cache hits and refusals, and cold queries run in a small
+executor.  ``--frontend threaded`` serves a thread per connection instead,
+running each cold query inline on its connection's thread (one executor hop
+cheaper per cold request).  ``query`` is the matching client::
 
     python -m repro serve data.csv --column salary --budget 20 --port 8080
-    python -m repro serve --config serving.toml --frontend async
+    python -m repro serve --config serving.toml --frontend threaded
     python -m repro query mean --url http://127.0.0.1:8080 \
         --dataset salary --epsilon 0.5
 
@@ -236,9 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--frontend", choices=["threaded", "async"], default=None,
-        help="HTTP front-end: 'threaded' (one thread per connection) or "
-             "'async' (single event loop; cache hits and refusals never "
-             "leave it). Default threaded, or the config file's choice.",
+        help="HTTP front-end: 'async' (one event loop; cache hits and "
+             "refusals never leave it, cold queries run in an executor) or "
+             "'threaded' (one thread per connection; cold queries run "
+             "inline). Default async, or the config file's choice.",
     )
     serve.add_argument("--host", default=None, help="Bind address (default 127.0.0.1)")
     serve.add_argument(
@@ -741,11 +744,13 @@ def _run_serve(args: argparse.Namespace) -> int:
             max_body=config.max_body,
             limiter=built.limiter, admin=built.admin,
         )
-        host, port = server.server_address[:2]
-        print(f"repro-service listening on http://{host}:{port}", flush=True)
-        print("frontend=threaded", flush=True)
-        _describe_service(service, config)
         try:
+            # Inside the try: a SIGINT right after the ready line is a
+            # clean stop, not a traceback.
+            host, port = server.server_address[:2]
+            print(f"repro-service listening on http://{host}:{port}", flush=True)
+            print("frontend=threaded", flush=True)
+            _describe_service(service, config)
             server.serve_forever()
         except KeyboardInterrupt:
             print("shutting down", flush=True)

@@ -86,6 +86,8 @@ class BudgetCoordinator:
                 response = handler(request)
         except BudgetExceededError as exc:
             response = {"ok": False, "error": "budget_exceeded", "message": str(exc)}
+            if exc.remaining is not None:
+                response["remaining"] = exc.remaining
         except (ReproError, ValueError, KeyError, TypeError) as exc:
             response = {"ok": False, "error": "domain", "message": str(exc)}
         response.setdefault("ok", True)
@@ -128,7 +130,7 @@ class BudgetCoordinator:
                 capacity, analyst_budgets=analyst_caps or None
             )
             self._analyst_caps[owner] = analyst_caps
-            return {"created": True, "capacity": capacity}
+            return {"created": True, "capacity": capacity, "remaining": capacity}
         if existing.capacity != capacity or self._analyst_caps[owner] != analyst_caps:
             raise ValueError(
                 f"owner {owner!r} already registered with capacity "
@@ -137,7 +139,7 @@ class BudgetCoordinator:
                 f"(capacity {capacity!r}, caps {analyst_caps!r}) — are the "
                 "shards running the same serving config?"
             )
-        return {"created": False, "capacity": capacity}
+        return {"created": False, "capacity": capacity, "remaining": existing.remaining}
 
     def reserve(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Admit or refuse a claim.  Caller must hold ``self._lock``.
@@ -148,13 +150,16 @@ class BudgetCoordinator:
         send exactly one of the two back).
         """
         owner, manager = self._manager(request)
-        reservation = manager.reserve(
-            float(request["amount"]), analyst=_analyst(request)
-        )
+        try:
+            reservation = manager.reserve(
+                float(request["amount"]), analyst=_analyst(request)
+            )
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(str(exc), remaining=manager.remaining) from None
         self._next_token += 1
         token = self._next_token
         self._reservations[token] = (owner, reservation)
-        return {"token": token, "amount": reservation.amount}
+        return {"token": token, "amount": reservation.amount, "remaining": manager.remaining}
 
     def _settle(self, request: Dict[str, Any]) -> Tuple[str, BudgetManager, Reservation]:
         """Pop the reservation behind a token.  Caller must hold ``self._lock``."""

@@ -56,9 +56,9 @@ endpoints and the pinned-dataset list.
 
 from __future__ import annotations
 
-import http.client
 import json
 import signal
+import socket
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -69,7 +69,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.cluster.ring import HashRing, route_key
 from repro.exceptions import ReproError
 from repro.obs import span as obs_span
-from repro.service import wire
+from repro.service import httphead, wire
 from repro.service.app import decode_json, traces_response
 from repro.service.http import (
     DEFAULT_MAX_BODY,
@@ -90,14 +90,20 @@ __all__ = [
 ]
 
 #: Transport-level failures talking to a shard (connection refused, reset,
-#: truncated response).  Routing is deterministic, so these surface as 503
-#: ``shard_unavailable`` rather than a retry on a non-owning replica.
-_TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
+#: truncated or unframable response).  Routing is deterministic, so these
+#: surface as 503 ``shard_unavailable`` rather than a retry on a non-owning
+#: replica.
+_TRANSPORT_ERRORS = (OSError, EOFError, httphead.HeadError)
+
+
+class _ShardClosed(ConnectionError):
+    """The shard closed a connection before sending any response byte."""
+
 
 #: The errors a pooled keep-alive connection the shard has already closed
-#: raises before any response: the shard never read the request, so it is
-#: the one failure a retry cannot turn into a second execution.
-_STALE_ERRORS = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+#: raises before any response byte: the shard never read the request, so it
+#: is the one failure a retry cannot turn into a second execution.
+_STALE_ERRORS = (_ShardClosed, ConnectionResetError, BrokenPipeError)
 
 #: Idle keep-alive connections retained per shard; beyond this they close.
 _POOL_SIZE = 32
@@ -107,16 +113,55 @@ class ShardUnavailable(Exception):
     """The owning shard could not be reached (after one fresh-connection retry)."""
 
 
+class _Link:
+    """One keep-alive socket to a shard and its buffered reader."""
+
+    __slots__ = ("sock", "reader")
+
+    def __init__(self, host: str, port: int, timeout: float):
+        self.sock = socket.create_connection((host, port), timeout=timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.reader = self.sock.makefile("rb")
+
+    def exchange(self, request: bytes) -> Tuple[int, bytes, bool]:
+        """Send one request; ``(status, body, keep_alive)`` of its response."""
+        self.sock.sendall(request)
+        status_line = self.reader.readline(httphead.MAX_LINE + 1)
+        if not status_line:
+            raise _ShardClosed("the shard closed the connection")
+        try:
+            lines = httphead.read_header_lines(self.reader.readline)
+            if lines is None:
+                raise EOFError("the shard hung up inside a response head")
+            status, headers, length = httphead.parse_response_head(status_line, lines)
+            keep_alive = length is not None and headers.get("connection", "").lower() != "close"
+            body = self.reader.read(length) if length is not None else self.reader.read()
+        except ConnectionError as exc:  # after a response byte: never replayed
+            raise EOFError(f"the shard hung up mid-response: {exc}") from exc
+        if length is not None and len(body) < length:
+            raise EOFError("the shard hung up inside a response body")
+        return status, body, keep_alive
+
+    def close(self) -> None:
+        for closable in (self.reader, self.sock):
+            try:
+                closable.close()
+            except OSError:
+                pass
+
+
 class ShardEndpoint:
     """One shard replica: its address plus a keep-alive connection pool.
 
-    Connections are pooled per shard and reused across router handler
-    threads.  A pooled connection the shard has closed in the meantime
-    fails with a disconnect, reset or broken pipe; only that failure is
-    retried, once, on a fresh connection.  Any other error — a read
-    timeout above all — may mean the shard already has the request, and a
-    ``failed`` outcome commits spend without being cached, so a replay
-    could spend twice: it surfaces as :class:`ShardUnavailable` instead.
+    Requests are framed with the shared head codec
+    (:mod:`repro.service.httphead`) over pooled keep-alive sockets, reused
+    across router handler threads.  A pooled connection the shard has closed
+    in the meantime fails with a disconnect, reset or broken pipe before
+    any response byte; only that failure is retried, once, on a fresh
+    connection.  Any other error — a read timeout above all — may mean the
+    shard already has the request, and a ``failed`` outcome commits spend
+    without being cached, so a replay could spend twice: it surfaces as
+    :class:`ShardUnavailable` instead.
     """
 
     def __init__(self, index: int, host: str, port: int, *, timeout: float = 30.0):
@@ -125,25 +170,18 @@ class ShardEndpoint:
         self.port = int(port)
         self.timeout = float(timeout)
         self._lock = threading.Lock()
-        self._idle: List[http.client.HTTPConnection] = []
+        self._idle: List[_Link] = []
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    def _acquire(self) -> Tuple[http.client.HTTPConnection, bool]:
-        """A pooled connection (reused=True) or a fresh one (reused=False)."""
-        with self._lock:
-            if self._idle:
-                return self._idle.pop(), True
-        return http.client.HTTPConnection(self.host, self.port, timeout=self.timeout), False
-
-    def _release(self, connection: http.client.HTTPConnection) -> None:
+    def _release(self, link: _Link) -> None:
         with self._lock:
             if len(self._idle) < _POOL_SIZE:
-                self._idle.append(connection)
+                self._idle.append(link)
                 return
-        connection.close()
+        link.close()
 
     def request(
         self,
@@ -158,23 +196,30 @@ class ShardEndpoint:
         used a pooled connection the shard had already closed; raises
         :class:`ShardUnavailable` on any other transport error.
         """
-        send_headers = {"Connection": "keep-alive", **(headers or {})}
-        connection, reused = self._acquire()
+        body = body or b""
+        request = httphead.request_head(
+            method, path, len(body), {"Host": f"{self.host}:{self.port}", **(headers or {})}
+        ) + body
+        with self._lock:
+            link = self._idle.pop() if self._idle else None
+        reused = link is not None
         for attempt in (0, 1):
             try:
-                connection.request(method, path, body=body, headers=send_headers)
-                response = connection.getresponse()
-                payload = response.read()
-                self._release(connection)
-                return response.status, payload
+                if link is None:
+                    link = _Link(self.host, self.port, self.timeout)
+                status, payload, keep_alive = link.exchange(request)
             except _TRANSPORT_ERRORS as exc:
-                connection.close()
+                if link is not None:
+                    link.close()
                 if attempt == 0 and reused and isinstance(exc, _STALE_ERRORS):
-                    connection = http.client.HTTPConnection(
-                        self.host, self.port, timeout=self.timeout
-                    )
+                    link = None
                     continue
                 raise ShardUnavailable(f"{type(exc).__name__}: {exc}") from exc
+            if keep_alive:
+                self._release(link)
+            else:
+                link.close()
+            return status, payload
         raise AssertionError("unreachable")  # pragma: no cover
 
     def request_json(
@@ -183,11 +228,14 @@ class ShardEndpoint:
         path: str,
         document: Optional[Any] = None,
         headers: Optional[Dict[str, str]] = None,
+        *,
+        body: Optional[bytes] = None,
     ) -> Tuple[int, Any]:
-        body = None
+        """``(status, decoded JSON)``; sends ``document`` encoded, or ``body`` as is."""
         send_headers = dict(headers or {})
         if document is not None:
             body = json.dumps(document).encode("utf-8")
+        if body is not None:
             send_headers["Content-Type"] = "application/json"
         status, payload = self.request(method, path, body, send_headers)
         try:
@@ -200,8 +248,8 @@ class ShardEndpoint:
     def close(self) -> None:
         with self._lock:
             idle, self._idle = self._idle, []
-        for connection in idle:
-            connection.close()
+        for link in idle:
+            link.close()
 
 
 def _sum_counters(documents: List[Dict[str, Any]]) -> Dict[str, Any]:
@@ -309,11 +357,12 @@ class _RouterHandler(HeadHandler):
         headers = {"X-Repro-Trace-Id": forward_id} if forward_id else {}
         try:
             with obs_span(trace, "parse"):
-                payload = decode_json(self._read_body())
+                body = self._read_body()
+                payload = decode_json(body)
             if isinstance(payload, dict) and "queries" in payload:
                 status, document = self._forward_batch(payload, headers, trace)
             else:
-                status, document = self._forward_single(payload, headers, trace)
+                status, document = self._forward_single(payload, body, headers, trace)
         finally:
             if tracer is not None and trace is not None:
                 tracer.finish(trace)
@@ -328,8 +377,9 @@ class _RouterHandler(HeadHandler):
         return self.server.owner(dataset, kind)
 
     def _forward_single(
-        self, payload: Any, headers: Dict[str, str], trace
+        self, payload: Any, body: bytes, headers: Dict[str, str], trace
     ) -> Tuple[int, Dict[str, Any]]:
+        """Forward one query's body bytes verbatim to the shard that owns it."""
         with obs_span(trace, "route") as info:
             shard = self.server.shards[self._route(payload)]
             info["shard"] = shard.index
@@ -341,7 +391,7 @@ class _RouterHandler(HeadHandler):
         try:
             with obs_span(trace, "forward", shard=shard.index):
                 status, document = shard.request_json(
-                    "POST", "/query", payload, headers
+                    "POST", "/query", headers=headers, body=body
                 )
             self.server.count("forwarded")
         except ShardUnavailable as exc:

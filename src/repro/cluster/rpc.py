@@ -3,10 +3,11 @@
 One request per line, one response per line, UTF-8 JSON objects::
 
     -> {"id": 7, "op": "reserve", "owner": "group:pilot", "amount": 0.5}
-    <- {"id": 7, "ok": true, "token": "r12", "amount": 0.5}
+    <- {"id": 7, "ok": true, "token": 12, "amount": 0.5, "remaining": 1.5}
 
 Failures come back as ``{"id": 7, "ok": false, "error": "<code>",
-"message": "..."}``.  The client maps the ``budget_exceeded`` code onto
+"message": "..."}`` (a refused ``reserve`` adds the owner's ``remaining``).
+The client maps the ``budget_exceeded`` code onto
 :class:`~repro.exceptions.BudgetExceededError` so a remote refusal is
 indistinguishable from a local one, and every other protocol error onto
 :class:`~repro.exceptions.DomainError`.  Transport failures raise
@@ -161,7 +162,7 @@ class CoordinatorClient:
         code = response.get("error", "protocol_error")
         message = response.get("message", f"coordinator rejected op {op!r}")
         if code == "budget_exceeded":
-            raise BudgetExceededError(message)
+            raise BudgetExceededError(message, remaining=response.get("remaining"))
         raise DomainError(f"coordinator refused {op!r} ({code}): {message}")
 
     # -- convenience wrappers ----------------------------------------------

@@ -8,6 +8,8 @@ propagate unchanged.
 
 from __future__ import annotations
 
+from typing import Optional
+
 __all__ = [
     "ReproError",
     "PrivacyParameterError",
@@ -30,7 +32,15 @@ class PrivacyParameterError(ReproError, ValueError):
 
 
 class BudgetExceededError(ReproError):
-    """A mechanism attempted to spend more privacy budget than is available."""
+    """A mechanism attempted to spend more privacy budget than is available.
+
+    ``remaining`` is the budget left at the refusal when the refuser reports
+    it (the cluster coordinator's ``reserve`` does), else ``None``.
+    """
+
+    def __init__(self, *args: object, remaining: Optional[float] = None):
+        super().__init__(*args)
+        self.remaining = remaining
 
 
 class MechanismError(ReproError):

@@ -14,7 +14,7 @@ before any budget is reserved.
 
 **REP005** enforces the no-traceback contract of the serving front ends: a
 request-handling entry point (``do_GET``/``do_POST``-style methods in
-``service/http.py``, ``_handle_connection`` in ``service/aio.py``,
+``service/http.py``, the connection's ``_serve`` in ``service/aio.py``,
 ``handle`` of the request core in ``service/app.py``) must wrap its body in
 a broad ``except`` that maps the failure to a structured error document.  An
 uncaught exception in a handler thread kills the connection with a raw
@@ -217,7 +217,7 @@ class FrontEndContainmentRule(Rule):
     #: (path suffix, predicate over method name) pairs defining entry points.
     _SCOPES: Tuple[Tuple[str, str], ...] = (
         ("service/http.py", "do_"),
-        ("service/aio.py", "_handle_connection"),
+        ("service/aio.py", "_serve"),
         ("service/app.py", "handle"),
     )
 

@@ -17,11 +17,11 @@ mean / variance / quantile / IQR / multivariate mean plus every adapted
   in-process fallback and :class:`repro.engine.SharedArray` hand-off for
   ``share=True`` datasets);
 * speaks **JSON over HTTP** via two interchangeable stdlib front-ends —
-  thread-per-connection (:mod:`repro.service.http`) and a single-event-loop
-  asyncio server (:mod:`repro.service.aio`) that answers cache hits and
-  refusals without leaving the loop — both transports over one request
-  core (:mod:`repro.service.app`) (CLI: ``repro serve [--frontend async]``
-  / ``repro query``);
+  a single-event-loop asyncio server (:mod:`repro.service.aio`, the
+  default) that answers cache hits and refusals without leaving the loop,
+  and thread-per-connection (:mod:`repro.service.http`) — both transports
+  over one request core (:mod:`repro.service.app`) (CLI: ``repro serve
+  [--frontend threaded]`` / ``repro query``);
 * boots **multi-dataset deployments from a declarative config**
   (:mod:`repro.service.config`: TOML/JSON sources, budgets, cache, workers)
   including **joint budget groups** — one epsilon cap spanning several

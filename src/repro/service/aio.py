@@ -1,39 +1,49 @@
-"""The asyncio HTTP/1.1 door of :class:`~repro.service.QueryService`.
+"""The asyncio HTTP/1.1 door of :class:`~repro.service.QueryService`: the default.
 
-The threaded door (:mod:`repro.service.http`) spends one OS thread per
-connection; at hundreds of concurrent clients the GIL and the scheduler eat
-the cached path alive.  This module serves the *same* service from a single
-event loop (pure stdlib: :func:`asyncio.start_server` plus the shared
-HTTP/1.1 head codec of :mod:`repro.service.httphead` — no new dependencies).
-Every request is answered by the request core both doors share
-(:class:`repro.service.app.App`), which owns the routes and the protocol
-reference:
+One event loop serves every connection (pure stdlib: an
+:class:`asyncio.Protocol` per connection plus the shared HTTP/1.1 head codec
+of :mod:`repro.service.httphead` — no new dependencies), so a cached
+request costs no thread handoff.  ``repro serve`` runs this door unless the
+config or ``--frontend threaded`` asks for the thread-per-connection door of
+:mod:`repro.service.http`, which runs a cold query inline instead of paying
+the executor hop below.  Every request is answered by the request core both
+doors share (:class:`repro.service.app.App`), which owns the routes and the
+protocol reference:
 
-* **What the core answers at once stays on the loop.**  Cache hits, sure
+* **What the core answers at once is written at once.**  Cache hits, sure
   budget refusals, invalid requests, rate-limit refusals and every read
-  surface cost one task switch per request.
+  surface are answered inside ``data_received`` as one ``transport.write``.
 * **Deferred work leaves the loop.**  A cold query, a batch, a
   registration or an admin mutation comes back from the core as a callable,
-  which runs in a small thread pool via ``run_in_executor``.  Because both
-  doors execute the identical core and service code and every query's
-  randomness derives from ``(service seed, canonical key)``, answers are
-  **bit-for-bit identical** across doors and worker counts.
-* **Keep-alive and pipelining.**  Each connection is one task reading
-  requests in order; pipelined requests queue in the stream buffer and are
-  answered in order.
+  which runs in a small thread pool; its response is written on the loop
+  when it is done.  Because both doors execute the identical core and
+  service code and every query's randomness derives from ``(service seed,
+  canonical key)``, answers are **bit-for-bit identical** across doors and
+  worker counts.
+* **Keep-alive and pipelining.**  Requests are framed off one buffer per
+  connection and answered in order; while a deferred request runs, up to
+  64 KiB of pipelined bytes are read ahead (so a hang-up is seen) and
+  reading pauses beyond that.  Reading also pauses while the transport's
+  write buffer is above its high-water mark, so a client that pipelines
+  without reading its answers cannot grow the server's memory.
 * **Hardening is the threaded door's.**  The same codec parses every
-  request head, so a framing error gets the same v1 envelope and status on
-  both (400, 414, 431, 505; a malformed or conflicting ``Content-Length`` is
-  400; a method other than ``GET``/``POST`` is 405), an oversized body →
-  413 (never read into memory, and answered instead of ``100 Continue``),
-  any other body is read in full (invited with ``100 Continue`` when
-  expected) before the core answers, and a peer disconnecting mid-request
-  or mid-response is swallowed and counted — the log stays traceback-free
-  by construction.
-* **Timeouts without tasks.**  Each read and drain runs in its own
-  ``asyncio.timeout(keepalive_timeout)`` scope: a timer, not a task per
-  wait.  An idle keep-alive connection times out quietly; a client that
-  stalls mid-head or mid-body (slowloris) is reclaimed and counted.
+  request head (CRLF or bare-LF line endings), so a framing error gets the
+  same v1 envelope and status on both (400, 505; a request line over
+  64 KiB 414 and a header line over it or more than 100 headers 431, all
+  decided on the read that breaks the limit, not at the blank line; a
+  malformed or conflicting ``Content-Length`` 400; a method other than
+  ``GET``/``POST`` 405), an oversized body → 413 (never read into memory, and answered
+  instead of ``100 Continue``), any other body is read in full (invited
+  with one ``100 Continue`` when expected and not yet sent) before the core
+  answers, and a peer that disconnects mid-request or mid-response is
+  counted, never a traceback in the log.
+* **One timer per connection.**  Each connection keeps a deadline that
+  every phase resets to ``keepalive_timeout`` from now: waiting for a
+  request, reading its head, reading its body and waiting for a stalled
+  client to read its answers, the last one of a closing connection too.
+  An idle keep-alive connection closes quietly; a client that stalls
+  mid-head, mid-body (slowloris) or without reading is reclaimed and
+  counted.
 
 ``GET /datasets`` reports the door's counters (requests, answered on the
 loop, deferred to the executor, disconnects, malformed) under the
@@ -48,10 +58,12 @@ Entry points: :func:`start_async_server` (coroutine),
 from __future__ import annotations
 
 import asyncio
+import re
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from concurrent.futures import Future, ThreadPoolExecutor
+from functools import partial
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.service import httphead, wire
 from repro.service.app import App, Response, json_response
@@ -65,9 +77,279 @@ __all__ = [
     "serve_async",
 ]
 
+#: The blank line that ends a request head, after a CRLF or a bare-LF line.
+_HEAD_END = re.compile(rb"\n\r?\n")
+#: Pipelined bytes read ahead while a deferred request runs.
+_READ_AHEAD = 1 << 16
 
-class _Hangup(Exception):
-    """Stop serving this connection (peer gone or framing unrecoverable)."""
+
+class _Connection(asyncio.Protocol):
+    """One HTTP/1.1 connection: requests framed off a buffer, answered in order."""
+
+    def __init__(self, server: "AsyncServiceServer"):
+        self._server = server
+        self._loop = server._loop
+        self._timeout = server._keepalive_timeout
+        self._transport: Optional[asyncio.Transport] = None
+        self._buffer = bytearray()
+        self._scanned = 0  # where the search for the end of the head resumes
+        self._head: Optional[httphead.RequestHead] = None  # its body is arriving
+        self._busy = False  # a deferred request runs in the executor
+        self._write_paused = False
+        self._read_paused = False
+        self._eof = False
+        self._closing = False
+        self._counted = False
+        self._deadline = 0.0
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self.closed = self._loop.create_future()
+
+    # -- asyncio.Protocol --------------------------------------------------
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._transport = transport
+        self._server._connections.add(self)
+        self._deadline = self._loop.time() + self._timeout
+        self._timer = self._loop.call_at(self._deadline, self._expire)
+
+    def data_received(self, data: bytes) -> None:
+        if self._closing:
+            return
+        if not self._buffer and self._head is None and not self._busy:
+            # The first bytes of a request: its head gets a full timeout.
+            self._deadline = self._loop.time() + self._timeout
+        self._buffer += data
+        if self._busy:
+            self._sync_reading()
+        else:
+            self._serve()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        if self._busy:
+            # Half-closed while a request runs: what it sent is still
+            # answered (it can read), then the connection closes.
+            return True
+        self._end_input()
+        return False
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if exc is not None:  # reset or broken pipe
+            self._count_disconnect()
+        self._closing = True
+        self._transport = None
+        if self._timer is not None:
+            self._timer.cancel()
+        self._server._connections.discard(self)
+        if not self.closed.done():
+            self.closed.set_result(None)
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        self._deadline = self._loop.time() + self._timeout
+        self._sync_reading()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._deadline = self._loop.time() + self._timeout
+        self._serve()
+
+    # -- serving -----------------------------------------------------------
+    def _serve(self, done: Optional[Tuple[Response, httphead.RequestHead]] = None) -> None:
+        """Write a finished deferred answer, then answer every buffered request."""
+        try:
+            if done is not None:
+                response, head = done
+                self._respond(response, head.keep_alive, head)
+            while not (self._busy or self._write_paused or self._closing):
+                head = self._head
+                if head is None:
+                    head = self._frame()
+                    if head is None:
+                        break
+                buffer = self._buffer
+                if len(buffer) < head.length:
+                    if self._head is None:  # the body has yet to arrive
+                        self._head = head
+                        self._deadline = self._loop.time() + self._timeout
+                        if head.expects_continue:
+                            self._transport.write(httphead.CONTINUE)
+                    break
+                self._head = None
+                body = bytes(buffer[: head.length])
+                del buffer[: head.length]
+                self._answer(head, body)
+            if self._eof and not (self._busy or self._closing):
+                self._end_input()
+            else:
+                self._sync_reading()
+        except Exception as exc:  # noqa: BLE001 - a connection must never leak a traceback
+            if not self._server.quiet:
+                print(
+                    f"error on connection: {type(exc).__name__}: {exc}",
+                    file=sys.stderr,
+                    flush=True,
+                )
+            self._close()
+
+    def _frame(self) -> Optional[httphead.RequestHead]:
+        """Cut the next head off the buffer: ``None`` while incomplete or refused."""
+        buffer = self._buffer
+        if not buffer:
+            return None
+        if buffer[0] in b"\r\n":
+            self._close()  # a blank line between requests: hang up
+            return None
+        end = _HEAD_END.search(buffer, self._scanned)
+        if end is None:
+            self._scanned = max(len(buffer) - 2, 0)
+            self._check_partial_head()
+            return None
+        self._scanned = 0
+        lines = buffer[: end.start()].split(b"\n")
+        del buffer[: end.end()]
+        counters = self._server._counters
+        try:
+            head = httphead.parse_head(httphead.parse_request_line(lines[0]), lines[1:])
+        except httphead.HeadError as exc:
+            counters["malformed"] += 1
+            self._respond(json_response(exc.status, wire.bad_request(str(exc))), False)
+            return None
+        counters["requests"] += 1
+        max_body = self._server.max_body
+        if head.method not in ("GET", "POST"):
+            self._respond(json_response(405, wire.method_not_allowed(head.method)), False, head)
+        elif max_body is not None and head.length > max_body:
+            # Refused by the declared size: the body is never read, so the
+            # connection cannot continue.
+            self._respond(json_response(413, wire.too_large(head.length, max_body)), False, head)
+        else:
+            return head
+        return None
+
+    def _check_partial_head(self) -> None:
+        """Refuse an unfinished head as soon as it breaks a codec limit."""
+        buffer = self._buffer
+        if len(buffer) <= httphead.MAX_LINE and buffer.count(b"\n") <= httphead.MAX_HEADERS + 1:
+            return
+        lines = buffer.split(b"\n")
+        if len(lines) > httphead.MAX_HEADERS + 2:
+            error = (431, f"more than {httphead.MAX_HEADERS} header lines")
+        elif len(lines[0]) > httphead.MAX_LINE:
+            error = (414, "request line too long")
+        elif max(map(len, lines)) > httphead.MAX_LINE:
+            error = (431, "header line too long")
+        else:
+            return
+        self._server._counters["malformed"] += 1
+        self._respond(json_response(error[0], wire.bad_request(error[1])), False)
+
+    def _answer(self, head: httphead.RequestHead, body: bytes) -> None:
+        counters = self._server._counters
+        result = self._server.app.handle(head.method, head.path, head.headers, body)
+        if not callable(result):
+            counters["answered_on_loop"] += 1
+            self._respond(result, head.keep_alive, head)
+            return
+        counters["executed"] += 1
+        self._busy = True
+        future = self._server._executor.submit(result)
+        self._server._deferred.add(future)
+        future.add_done_callback(partial(self._hand_back, head))
+
+    def _hand_back(self, head: httphead.RequestHead, future: Future) -> None:
+        """On the executor thread: resume the connection on the loop."""
+        try:
+            self._loop.call_soon_threadsafe(self._finish, head, future)
+        except RuntimeError:  # the loop is closed: the answer is dropped
+            pass
+
+    def _finish(self, head: httphead.RequestHead, future: Future) -> None:
+        self._server._deferred.discard(future)
+        self._busy = False
+        if self._closing:
+            return  # the peer is gone or the server stops: drop the answer
+        try:
+            response = future.result()
+        except Exception as exc:  # noqa: BLE001 - App contains its own; this is the pool's
+            response = json_response(500, wire.internal_error(exc))
+        self._serve((response, head))
+
+    def _respond(
+        self,
+        response: Response,
+        keep_alive: bool,
+        head: Optional[httphead.RequestHead] = None,
+    ) -> None:
+        status, body, content_type, headers = response
+        self._transport.write(
+            httphead.response_head(
+                status, content_type, len(body), keep_alive=keep_alive, extra=headers
+            )
+            + body
+        )
+        if not self._server.quiet:
+            log = "-" if head is None else f"{head.method} {head.path}"
+            print(f'async "{log}" {status}', file=sys.stderr, flush=True)
+        if keep_alive:
+            self._deadline = self._loop.time() + self._timeout
+        else:
+            self._close()
+
+    # -- flow control and teardown -----------------------------------------
+    def _sync_reading(self) -> None:
+        """Pause reading while writes back up or a deferred request reads ahead."""
+        pause = self._write_paused or (self._busy and len(self._buffer) > _READ_AHEAD)
+        if pause != self._read_paused and not self._closing:
+            self._read_paused = pause
+            if pause:
+                self._transport.pause_reading()
+            else:
+                self._transport.resume_reading()
+
+    def _expire(self) -> None:
+        """The connection's one timer: end the phase that outlived its deadline."""
+        now = self._loop.time()
+        if self._busy or now < self._deadline:
+            # Deferred work is the server's time, not the client's.
+            when = self._deadline if now < self._deadline else now + self._timeout
+            self._timer = self._loop.call_at(when, self._expire)
+        elif self._closing or self._write_paused:
+            # The peer stopped reading: a paused or closing transport would
+            # wait for it to drain forever.
+            self._count_disconnect()
+            self._transport.abort()
+        else:
+            if self._buffer or self._head is not None:
+                self._count_disconnect()  # stalled mid-request (slowloris)
+            self._close()  # an idle keep-alive connection closes quietly
+            self._timer = self._loop.call_at(self._deadline, self._expire)
+
+    def _end_input(self) -> None:
+        """The peer sent its last byte and all of it is answered: close."""
+        if self._buffer or self._head is not None:
+            self._count_disconnect()  # hung up mid-request
+        self._close()
+
+    def _count_disconnect(self) -> None:
+        if not self._counted:
+            self._counted = True
+            self._server._counters["disconnects"] += 1
+
+    def _close(self) -> None:
+        self._closing = True
+        self._deadline = self._loop.time() + self._timeout  # to drain what is written
+        if self._transport is not None:
+            self._transport.close()
+
+    def shutdown(self) -> None:
+        """Close for server stop; a peer that reads nothing is cut off."""
+        if self._transport is None:
+            return
+        self._closing = True
+        if self._write_paused:
+            self._transport.abort()
+        else:
+            self._transport.close()
 
 
 class AsyncServiceServer:
@@ -77,9 +359,9 @@ class AsyncServiceServer:
     ``limiter`` QoS gate and the ``admin`` control plane);
     ``executor_threads`` sizes the pool that runs the core's deferred work
     (cold queries, batches, registrations, admin mutations) off the loop,
-    and ``keepalive_timeout`` bounds every per-request wait — idle time
-    between requests, header/body reads, and response drain — so a stalled
-    client cannot pin its connection task forever.
+    and ``keepalive_timeout`` bounds every phase of a connection — idle time
+    between requests, head and body reads, and a client that does not read
+    its answers — so a stalled client cannot pin its connection forever.
     """
 
     def __init__(
@@ -109,10 +391,12 @@ class AsyncServiceServer:
         self._executor = ThreadPoolExecutor(
             max_workers=executor_threads, thread_name_prefix="repro-aio-query"
         )
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._bound: Optional[Tuple[str, int]] = None
-        # Open connections, task -> writer (event-loop thread only).
-        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
+        # Open connections and running deferred requests (event-loop thread only).
+        self._connections: Set[_Connection] = set()
+        self._deferred: Set[Future] = set()
         # Touched only from the event-loop thread; read anywhere (CPython int
         # loads are atomic, and the stats are monitoring data, not invariants).
         self._counters: Dict[str, int] = {
@@ -126,8 +410,9 @@ class AsyncServiceServer:
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> "AsyncServiceServer":
         """Bind and start accepting connections (``port=0`` → ephemeral)."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port, backlog=512
+        self._loop = asyncio.get_running_loop()
+        self._server = await self._loop.create_server(
+            partial(_Connection, self), self._host, self._port, backlog=512
         )
         self._bound = self._server.sockets[0].getsockname()[:2]
         return self
@@ -137,20 +422,21 @@ class AsyncServiceServer:
         await self._server.serve_forever()
 
     async def aclose(self) -> None:
-        """Stop accepting, close open connections and await them, then close.
+        """Stop accepting, close open connections, await them, then close.
 
-        Keep-alive connections idle in a read would otherwise outlive the
-        loop and be destroyed while pending.  Closing a transport ends its
-        idle read with EOF; a request already executing finishes first (its
-        answer is released and charged either way) and its response is
-        dropped.
+        A request already executing finishes first (its answer is released
+        and charged either way) and its response is dropped.
         """
         if self._server is not None:
             self._server.close()
-            connections = dict(self._connections)
-            for writer in connections.values():
-                writer.close()
-            await asyncio.gather(*connections, return_exceptions=True)
+            connections = list(self._connections)
+            for connection in connections:
+                connection.shutdown()
+            await asyncio.gather(
+                *(connection.closed for connection in connections),
+                *(asyncio.wrap_future(future) for future in list(self._deferred)),
+                return_exceptions=True,
+            )
             await self._server.wait_closed()
             self._server = None
         self._executor.shutdown(wait=False)
@@ -175,150 +461,6 @@ class AsyncServiceServer:
     @property
     def disconnects(self) -> int:
         return self._counters["disconnects"]
-
-    # -- connection handling -----------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        try:
-            self._connections[task] = writer
-            while await self._serve_one(reader, writer):
-                pass
-        except _Hangup:
-            pass
-        except (ConnectionError, asyncio.IncompleteReadError):
-            self._counters["disconnects"] += 1
-        except Exception as exc:  # noqa: BLE001 - a connection must never leak a traceback
-            if not self.quiet:
-                print(
-                    f"error on connection: {type(exc).__name__}: {exc}",
-                    file=sys.stderr,
-                    flush=True,
-                )
-        finally:
-            self._connections.pop(task, None)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.IncompleteReadError):
-                pass
-
-    async def _serve_one(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> bool:
-        """Read and answer one request; returns whether to keep the connection."""
-        try:
-            try:
-                async with asyncio.timeout(self._keepalive_timeout):
-                    raw_line = await reader.readline()
-            except TimeoutError:
-                return False  # idle keep-alive connection
-            except ValueError:  # request line beyond the stream's line limit
-                raise httphead.HeadError(414, "request line too long") from None
-            if not raw_line.strip():
-                return False  # clean close (or bare CRLF) between requests
-            start = httphead.parse_request_line(raw_line)
-            try:
-                async with asyncio.timeout(self._keepalive_timeout):
-                    lines = await self._head_lines(reader)
-            except TimeoutError:
-                # A stalled (slowloris-style) client: reclaim the connection.
-                self._counters["disconnects"] += 1
-                return False
-            head = httphead.parse_head(start, lines)
-        except httphead.HeadError as exc:
-            self._counters["malformed"] += 1
-            return await self._send(
-                writer, json_response(exc.status, wire.bad_request(str(exc))),
-                keep_alive=False, log="-",
-            )
-        self._counters["requests"] += 1
-        log = f"{head.method} {head.path}"
-        if head.method not in ("GET", "POST"):
-            return await self._send(
-                writer, json_response(405, wire.method_not_allowed(head.method)),
-                keep_alive=False, log=log,
-            )
-        if self.max_body is not None and head.length > self.max_body:
-            # Refused by the declared size: the body is never read, so the
-            # connection cannot continue.
-            return await self._send(
-                writer, json_response(413, wire.too_large(head.length, self.max_body)),
-                keep_alive=False, log=log,
-            )
-        body = await self._read_body(head, reader, writer)
-        result = self.app.handle(head.method, head.path, head.headers, body)
-        if callable(result):
-            self._counters["executed"] += 1
-            loop = asyncio.get_running_loop()
-            result = await loop.run_in_executor(self._executor, result)
-        else:
-            self._counters["answered_on_loop"] += 1
-        return await self._send(writer, result, keep_alive=head.keep_alive, log=log)
-
-    async def _head_lines(self, reader: asyncio.StreamReader) -> List[bytes]:
-        """The header lines before the blank line, at most one past the limit."""
-        lines: List[bytes] = []
-        while len(lines) <= httphead.MAX_HEADERS:
-            try:
-                raw = await reader.readline()
-            except ValueError:  # beyond the stream's line limit
-                raise httphead.HeadError(431, "header line too long") from None
-            if raw in (b"\r\n", b"\n"):
-                break
-            if not raw:  # EOF mid-headers: the client hung up
-                self._counters["disconnects"] += 1
-                raise _Hangup
-            lines.append(raw)
-        return lines
-
-    async def _read_body(
-        self,
-        head: httphead.RequestHead,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> bytes:
-        if not head.length:
-            return b""
-        if head.expects_continue:
-            writer.write(httphead.CONTINUE)
-        try:
-            async with asyncio.timeout(self._keepalive_timeout):
-                return await reader.readexactly(head.length)
-        except (asyncio.IncompleteReadError, TimeoutError):
-            # Hung up early, or stalled without ever delivering the promised
-            # bytes — either way the request is unrecoverable.
-            self._counters["disconnects"] += 1
-            raise _Hangup from None
-
-    async def _send(
-        self,
-        writer: asyncio.StreamWriter,
-        response: Response,
-        *,
-        keep_alive: bool,
-        log: str,
-    ) -> bool:
-        """Write one response; returns ``keep_alive`` (whether to serve on)."""
-        status, body, content_type, headers = response
-        writer.write(
-            httphead.response_head(
-                status, content_type, len(body), keep_alive=keep_alive, extra=headers
-            )
-            + body
-        )
-        try:
-            async with asyncio.timeout(self._keepalive_timeout):
-                await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError, TimeoutError):
-            # Mid-response disconnect (or a peer that stopped reading):
-            # count it and end the connection quietly.
-            self._counters["disconnects"] += 1
-            raise _Hangup from None
-        if not self.quiet:
-            print(f'async "{log}" {status}', file=sys.stderr, flush=True)
-        return keep_alive
 
 
 async def start_async_server(

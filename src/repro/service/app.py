@@ -52,10 +52,14 @@ Protocol
     ``{"queries": [...]}`` with a list of such objects, which is answered
     as one batch through the service's engine-pool fan-out.  (Kind
     parameters live under ``params`` only.)  Response: the answer document
-    (or ``{"answers": [...]}``).  HTTP status mirrors the outcome: 200 for
-    ``ok``/``failed`` (a failed propose-test-release is a valid, budgeted DP
-    outcome), 403 for budget refusals, 404 for unknown datasets, 400 for
-    malformed requests (an empty or non-JSON body included), 429 with
+    (or ``{"answers": [...]}``); its ``remaining`` on a cache hit against
+    a cluster joint budget is the coordinator's last reported value, not a
+    fresh read (see
+    :class:`~repro.service.QueryAnswer`).  HTTP status mirrors the
+    outcome: 200 for ``ok``/``failed`` (a failed propose-test-release is a
+    valid, budgeted DP outcome), 403 for budget refusals, 404 for unknown
+    datasets, 400 for malformed requests (an empty or non-JSON body
+    included), 429 with
     ``Retry-After`` for per-analyst/per-kind rate limits (refused *before*
     admission: the budget ledger is untouched), 503
     ``coordinator_unavailable`` when the dataset draws on a cluster joint

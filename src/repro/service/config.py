@@ -13,7 +13,7 @@ The TOML grammar (JSON mirrors the same structure)::
     seed = 7              # optional: deterministic answers
     workers = 4           # engine-pool processes (1 = serial in-process)
     cache_size = 4096     # answer-cache entries (omit = unbounded, 0 = off)
-    frontend = "async"    # "threaded" or "async"
+    frontend = "async"    # the default; "threaded" runs cold queries inline
     host = "127.0.0.1"
     port = 8080           # 0 picks an ephemeral port
     max_body = 1048576    # request-body cap in bytes (413 beyond it)
@@ -202,7 +202,7 @@ class ServingConfig:
     cache_size: Optional[int] = None
     host: str = "127.0.0.1"
     port: int = 8080
-    frontend: str = "threaded"
+    frontend: str = "async"
     max_body: Optional[int] = DEFAULT_MAX_BODY
     allow_register: bool = False
     quiet: bool = False
@@ -528,7 +528,7 @@ def parse_serving_config(
         "max_body", "allow_register", "quiet",
     }
     _require(not unknown, f"[service] has unknown keys: {sorted(unknown)}")
-    frontend = str(service_raw.get("frontend", "threaded"))
+    frontend = str(service_raw.get("frontend", "async"))
     _require(
         frontend in _FRONTENDS,
         f"[service] frontend must be one of {list(_FRONTENDS)}, got {frontend!r}",
@@ -669,6 +669,10 @@ def shard_document(
     changes per shard:
 
     * ``service.port`` → this shard's allocated port;
+    * ``service.frontend`` → ``"threaded"`` unless the template names one:
+      a shard's requests arrive over the router's few pooled keep-alive
+      links and every cold query is a shard's, which the threaded door
+      runs inline instead of paying the asyncio door's executor hop;
     * ``cluster.shard_index`` / ``cluster.coordinator`` → identity and the
       budget-coordinator endpoint (which switches joint groups to
       :class:`~repro.service.registry.RemoteBudgetManager` at boot);
@@ -691,6 +695,7 @@ def shard_document(
             "identically"
         )
     service_raw["port"] = int(shard_port)
+    service_raw.setdefault("frontend", "threaded")
     shard["service"] = service_raw
     cluster_raw = dict(shard.get("cluster", {}))
     cluster_raw["shard_index"] = int(shard_index)

@@ -116,6 +116,13 @@ class QueryAnswer:
     * ``"failed"`` — the estimator aborted mid-release (e.g. a rejected
       propose-test-release check).  The partial spend its ledger recorded
       *was* committed, exactly as a real deployment must account it.
+
+    ``remaining`` is the budget left after a fresh release's commit, or at
+    a refusal.  A cache hit or a draining answer reports the budget's
+    ``reported_remaining``: live for a local ledger; for a coordinator-owned
+    group, the value the coordinator last reported to this process, which
+    misses spend made through other shards since (``GET /datasets`` reads
+    it live).
     """
 
     dataset: str
@@ -602,7 +609,7 @@ class QueryService:
                 cached=True,
                 error=stored.error,
                 message=stored.message,
-                remaining=dataset.budget.remaining,
+                remaining=dataset.budget.reported_remaining,
                 query=stored.query,
             )
         answer: Optional[QueryAnswer] = None
@@ -721,7 +728,7 @@ class QueryService:
             key=key,
             error="budget_exceeded",
             message=message,
-            remaining=dataset.budget.remaining,
+            remaining=dataset.budget.reported_remaining,
             query=request.query,
         )
 
@@ -779,7 +786,7 @@ class QueryService:
                 "not admitted (previously released answers are still served "
                 "from cache)"
             ),
-            remaining=dataset.budget.remaining,
+            remaining=dataset.budget.reported_remaining,
             query=request.query,
         )
 

@@ -1,6 +1,8 @@
 """The threaded HTTP/1.1 door of :class:`~repro.service.QueryService`.
 
-Pure stdlib: :mod:`http.server`'s thread-per-connection loop over the shared
+``repro serve --frontend threaded`` runs it; the default is the asyncio
+door of :mod:`repro.service.aio`.  Pure stdlib: :mod:`http.server`'s
+thread-per-connection loop over the shared
 head codec of :mod:`repro.service.httphead`.  Each request is read here and
 answered by the request core (:class:`repro.service.app.App`), which owns
 every route and the protocol reference; deferred work (a cold query, a
@@ -87,17 +89,10 @@ class HeadHandler(BaseHTTPRequestHandler):
             return False  # a bare line ending: hang up, as http.server does
         try:
             start = httphead.parse_request_line(self.raw_requestline)
-            lines = []
-            while True:
-                raw = self.rfile.readline(httphead.MAX_LINE + 1)
-                if raw in (b"\r\n", b"\n"):
-                    break
-                if not raw:  # EOF inside the head: the client hung up
-                    self.server.count_disconnect()
-                    return False
-                lines.append(raw)
-                if len(lines) > httphead.MAX_HEADERS or len(raw) > httphead.MAX_LINE:
-                    break
+            lines = httphead.read_header_lines(self.rfile.readline)
+            if lines is None:  # EOF inside the head: the client hung up
+                self.server.count_disconnect()
+                return False
             self.head = httphead.parse_head(start, lines)
         except httphead.HeadError as exc:
             self.send_error(exc.status, str(exc))

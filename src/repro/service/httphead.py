@@ -5,9 +5,11 @@ asyncio server of :mod:`repro.service.aio` and the cluster router) reads the
 request line and the header lines off its own socket and hands the bytes
 here.  :func:`parse_request_line` and :func:`parse_head` decide what they
 mean; :func:`response_head` builds every status line and header block the
-doors write.  With one parser the doors frame the same bytes the same way,
-and the threaded doors never run :func:`http.client.parse_headers` (the
-:mod:`email` feed parser), which was most of their per-request CPU.
+doors write, and the router frames its shard hop with :func:`request_head`
+and :func:`parse_response_head`.  With one parser the doors frame the same
+bytes the same way, and no server path runs
+:func:`http.client.parse_headers` (the :mod:`email` feed parser), which was
+most of the threaded doors' per-request CPU.
 
 Limits: a line over :data:`MAX_LINE` bytes or more than :data:`MAX_HEADERS`
 header lines is 431; a request line that is not ``METHOD PATH HTTP/x.y`` is
@@ -21,11 +23,12 @@ from __future__ import annotations
 
 import re
 from http import HTTPStatus
-from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
     "CONTINUE", "MAX_HEADERS", "MAX_LINE", "HeadError", "RequestHead",
-    "parse_head", "parse_request_line", "response_head",
+    "parse_head", "parse_request_line", "parse_response_head",
+    "read_header_lines", "request_head", "response_head",
 ]
 
 #: Longest request or header line, in bytes (the stdlib server's limit).
@@ -81,13 +84,59 @@ def parse_request_line(line: bytes) -> Tuple[str, str, str]:
     return method, path, version
 
 
+def read_header_lines(readline: Callable[[int], bytes]) -> Optional[List[bytes]]:
+    """The header lines of a head read with a blocking ``readline``.
+
+    Reads up to the blank line, or stops after ``MAX_HEADERS + 1`` lines or
+    one over ``MAX_LINE`` bytes so the parser decides the limit; ``None``
+    when the peer hangs up first.
+    """
+    lines: List[bytes] = []
+    while True:
+        raw = readline(MAX_LINE + 1)
+        if raw in (b"\r\n", b"\n"):
+            return lines
+        if not raw:
+            return None
+        lines.append(raw)
+        if len(lines) > MAX_HEADERS or len(raw) > MAX_LINE:
+            return lines
+
+
 def parse_head(start: Tuple[str, str, str], header_lines: Sequence[bytes]) -> RequestHead:
     """The head of a parsed request line and its header lines (no blank line).
 
     A front door reads at most ``MAX_HEADERS + 1`` lines of at most
-    ``MAX_LINE + 1`` bytes each and passes what it read, so both limits are
-    decided here.  Raises :class:`HeadError`.
+    ``MAX_LINE + 1`` bytes each (:func:`read_header_lines`) and passes what
+    it read, so both limits are decided here.  Raises :class:`HeadError`.
     """
+    headers, length = _fields(header_lines)
+    connection = headers.get("connection", "").lower()
+    http11 = start[2] != "HTTP/1.0"
+    return RequestHead(
+        *start, headers, length or 0,
+        connection != "close" if http11 else connection == "keep-alive",
+        http11 and headers.get("expect", "").lower() == "100-continue",
+    )
+
+
+def parse_response_head(
+    status_line: bytes, header_lines: Sequence[bytes]
+) -> Tuple[int, Dict[str, str], Optional[int]]:
+    """``(status, headers, Content-Length or None)`` of a response head.
+
+    The client side of the codec: the cluster router reads its shards'
+    responses with it.  Raises :class:`HeadError`.
+    """
+    words = status_line.decode("latin-1").split(None, 2)
+    if len(words) < 2 or not words[0].startswith("HTTP/1.") or not words[1].isdigit():
+        raise HeadError(502, f"unparseable status line {status_line[:80]!r}")
+    headers, length = _fields(header_lines)
+    return int(words[1]), headers, length
+
+
+def _fields(header_lines: Sequence[bytes]) -> Tuple[Dict[str, str], Optional[int]]:
+    """Header values by lowercase name, and the ``Content-Length`` if declared."""
     if len(header_lines) > MAX_HEADERS:
         raise HeadError(431, f"more than {MAX_HEADERS} header lines")
     headers: Dict[str, str] = {}
@@ -106,20 +155,21 @@ def parse_head(start: Tuple[str, str, str], header_lines: Sequence[bytes]) -> Re
             raise HeadError(400, "conflicting Content-Length headers")
     raw_length = headers.get("content-length")
     if raw_length is None:
-        length = 0
-    elif raw_length.isdigit() and raw_length.isascii():
-        length = int(raw_length)
-    else:
-        raise HeadError(
-            400, f"Content-Length must be a non-negative integer, got {raw_length!r}"
-        )
-    connection = headers.get("connection", "").lower()
-    http11 = start[2] != "HTTP/1.0"
-    return RequestHead(
-        *start, headers, length,
-        connection != "close" if http11 else connection == "keep-alive",
-        http11 and headers.get("expect", "").lower() == "100-continue",
+        return headers, None
+    if raw_length.isdigit() and raw_length.isascii():
+        return headers, int(raw_length)
+    raise HeadError(
+        400, f"Content-Length must be a non-negative integer, got {raw_length!r}"
     )
+
+
+def request_head(
+    method: str, path: str, length: int, headers: Mapping[str, str]
+) -> bytes:
+    """The request line and header block of a request with a ``length``-byte body."""
+    head = f"{method} {path} HTTP/1.1\r\nContent-Length: {length}\r\n"
+    head += "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+    return (head + "\r\n").encode("latin-1")
 
 
 def response_head(

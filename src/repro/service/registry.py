@@ -155,6 +155,11 @@ class BudgetManager:
         with self._lock:
             return max(self._capacity - self._ledger.total_epsilon - self._reserved, 0.0)
 
+    @property
+    def reported_remaining(self) -> float:
+        """The ``remaining`` an answer reports: the live value for a local ledger."""
+        return self.remaining
+
     def analyst_remaining(self, analyst: str) -> Optional[float]:
         """Remaining sub-budget for ``analyst`` (``None`` when uncapped)."""
         with self._lock:
@@ -336,6 +341,13 @@ class RemoteBudgetManager:
     Semantics are those of the coordinator's own :class:`BudgetManager`
     under its lock, which is what makes reserve→commit atomic cluster-wide.
 
+    An answer's ``remaining`` (:attr:`reported_remaining`) is the value the
+    coordinator last reported to this process, refreshed from every reply
+    that carries one (``create``, ``reserve`` admitted or refused,
+    ``commit``, ``cancel`` and each snapshot), so a cache hit or a refusal
+    makes no RPC; a cache hit's can lag spend made through other shards
+    since.  ``remaining`` and :meth:`to_json` stay live snapshots.
+
     Transport failures surface as
     :class:`~repro.exceptions.CoordinatorUnavailableError`; the executor
     maps them to structured ``coordinator_unavailable`` refusals rather
@@ -362,12 +374,13 @@ class RemoteBudgetManager:
             str(name): validate_epsilon(cap, name=f"analyst budget {name!r}")
             for name, cap in dict(analyst_budgets or {}).items()
         }
-        client.call(
+        response = client.call(
             "create",
             owner=self._owner,
             capacity=self._capacity,
             analyst_budgets=caps,
         )
+        self._reported = float(response["remaining"])
 
     # -- introspection -----------------------------------------------------
     @property
@@ -380,7 +393,9 @@ class RemoteBudgetManager:
         return self._capacity
 
     def _snapshot(self) -> Dict[str, Any]:
-        return self._client.call("snapshot", owner=self._owner)["budget"]
+        budget = self._client.call("snapshot", owner=self._owner)["budget"]
+        self._reported = float(budget["remaining"])
+        return budget
 
     @property
     def spent(self) -> float:
@@ -393,6 +408,11 @@ class RemoteBudgetManager:
     @property
     def remaining(self) -> float:
         return float(self._snapshot()["remaining"])
+
+    @property
+    def reported_remaining(self) -> float:
+        """The ``remaining`` of the coordinator's last reply; no round trip."""
+        return self._reported
 
     def analyst_remaining(self, analyst: str) -> Optional[float]:
         response = self._client.call(
@@ -440,19 +460,26 @@ class RemoteBudgetManager:
 
     def reserve(self, amount: float, *, analyst: Optional[str] = None) -> Reservation:
         amount = validate_epsilon(amount, name="reservation")
-        response = self._client.call(
-            "reserve", owner=self._owner, amount=amount, analyst=analyst
-        )
+        try:
+            response = self._client.call(
+                "reserve", owner=self._owner, amount=amount, analyst=analyst
+            )
+        except BudgetExceededError as exc:
+            self._reported = float(exc.remaining)
+            raise
+        self._reported = float(response["remaining"])
         return Reservation(amount=amount, analyst=analyst, token=int(response["token"]))
 
     def commit(self, reservation: Reservation, actual: float, *, label: str) -> Tuple[float, float]:
         response = self._client.call(
             "commit", token=reservation.token, actual=float(actual), label=str(label)
         )
-        return float(response["charged"]), float(response["remaining"])
+        self._reported = float(response["remaining"])
+        return float(response["charged"]), self._reported
 
     def cancel(self, reservation: Reservation) -> None:
-        self._client.call("cancel", token=reservation.token)
+        response = self._client.call("cancel", token=reservation.token)
+        self._reported = float(response["remaining"])
 
     def to_json(self) -> Dict[str, Any]:
         return self._snapshot()

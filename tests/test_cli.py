@@ -3,6 +3,14 @@
 from __future__ import annotations
 
 import csv
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
+import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -426,3 +434,86 @@ class TestServeAndQueryCli:
         with pytest.raises(DomainError):
             _parse_analyst_budgets(["alice=abc"])
         assert _parse_analyst_budgets(["a=1", "b=0.5"]) == {"a": 1.0, "b": 0.5}
+
+
+def _descendants(pid: int) -> list:
+    """Every live process below ``pid``, read off ``/proc``."""
+    parents = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if fields[0] != "Z":
+            parents.setdefault(int(fields[1]), []).append(int(entry))
+    found, frontier = [], [pid]
+    while frontier:
+        children = parents.get(frontier.pop(), [])
+        found += children
+        frontier += children
+    return found
+
+
+def _alive(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_sigint_stops_the_default_door_and_its_engine_workers(tmp_path):
+    """``repro serve --config`` on the default (asyncio) door with two engine
+    workers: after a cold batch, SIGINT ends the server and every worker."""
+    np.save(tmp_path / "d.npy", np.random.default_rng(1).normal(50.0, 5.0, 20_000))
+    config = tmp_path / "serving.toml"
+    config.write_text(
+        "[service]\nseed = 7\nworkers = 2\nport = 0\nquiet = true\n\n"
+        '[[datasets]]\nname = "d"\nsource = "d.npy"\nbudget = 50.0\n'
+    )
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--config", str(config)],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+    )
+    try:
+        lines = []
+        for line in process.stdout:
+            lines.append(line)
+            if line.startswith("repro-service listening on "):
+                url = line.split()[-1]
+                break
+        else:
+            pytest.fail("no ready line:\n" + "".join(lines))
+        assert process.stdout.readline().strip() == "frontend=async"
+        batch = {"queries": [
+            {"dataset": "d", "kind": kind, "epsilon": epsilon}
+            for kind, epsilon in (("mean", 0.5), ("variance", 0.5), ("iqr", 0.5), ("mean", 0.25))
+        ]}
+        request = urllib.request.Request(
+            url + "/query", data=json.dumps(batch).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(request, timeout=60) as response:
+            answers = json.loads(response.read())["answers"]
+        assert [answer["status"] for answer in answers] == ["ok"] * 4
+        workers = _descendants(process.pid)
+        assert len(workers) >= 2
+        process.send_signal(signal.SIGINT)
+        assert process.wait(timeout=15) == 0
+        deadline = time.monotonic() + 15
+        while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _alive(pid)]
+        assert "Traceback" not in process.stdout.read()
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+        process.stdout.close()

@@ -83,6 +83,22 @@ class TestGeneratePlan:
             for dataset in doc["datasets"]:
                 assert dataset["source"].startswith("/")
 
+    def test_shards_run_the_threaded_door_unless_the_template_names_one(self, workspace):
+        config_path, deploy = workspace
+        plan = generate_plan(config_path, deploy)
+        assert {
+            json.loads(path.read_text())["service"]["frontend"]
+            for path in plan.shard_configs
+        } == {"threaded"}
+        document = json.loads(config_path.read_text())
+        document["service"]["frontend"] = "async"
+        config_path.write_text(json.dumps(document))
+        plan = generate_plan(config_path, deploy)
+        assert {
+            json.loads(path.read_text())["service"]["frontend"]
+            for path in plan.shard_configs
+        } == {"async"}
+
     def test_pinned_is_exactly_the_private_budget_datasets(self, workspace):
         config_path, deploy = workspace
         plan = generate_plan(config_path, deploy)

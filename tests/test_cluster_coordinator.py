@@ -311,3 +311,52 @@ class TestColdQueryRoundTrips:
         # The answer's remaining is its own commit's, from the commit reply.
         assert answer.remaining == 2.0 - answer.epsilon_charged
         assert manager.remaining == answer.remaining
+
+    def test_cache_hits_and_refusals_make_no_snapshot_call(self):
+        """Answers report the coordinator's last ``remaining``: no extra RPC.
+
+        A cache hit (``submit`` or ``peek``) and a refusal each report the
+        value of the last reply that carried one, so none of them blocks on
+        a ``snapshot`` round trip (on the asyncio door, the event loop).
+        """
+        client = self.CountingClient()
+        service = QueryService(seed=13)
+        manager = RemoteBudgetManager("group:g", client, capacity=2.0)
+        service.registry.create_group("g", 2.0, manager=manager)
+        service.register(
+            "d", np.random.default_rng(1).normal(50.0, 5.0, 10_000), None, group="g"
+        )
+        request = QueryRequest("d", Query("mean", 0.5))
+        released = service.submit(request)
+        before = len(client.calls)
+        hit = service.submit(request)
+        peeked = service.peek(request)
+        refused = service.submit(QueryRequest("d", Query("mean", 5.0)))
+        assert client.calls[before:] == ["reserve"]  # the refused claim only
+        assert hit.cached and peeked.cached and refused.status == "refused"
+        assert hit.remaining == peeked.remaining == released.remaining
+        assert refused.remaining == released.remaining
+        # Stats and GET /datasets keep the live snapshot.
+        assert manager.remaining == released.remaining
+        assert client.calls[-1] == "snapshot"
+
+    def test_refusal_reports_the_remaining_of_its_refused_reserve(self):
+        """Spend through another shard is in a refusal's ``remaining``."""
+        client = self.CountingClient()
+        data = np.random.default_rng(1).normal(50.0, 5.0, 10_000)
+        shards = []
+        for seed in (1, 2):
+            service = QueryService(seed=seed)
+            manager = RemoteBudgetManager("group:g", client, capacity=2.0)
+            service.registry.create_group("g", 2.0, manager=manager)
+            service.register("d", data, None, group="g")
+            shards.append((service, manager))
+        (first, first_manager), (second, _) = shards
+        first.submit(QueryRequest("d", Query("mean", 0.5)))
+        spent_elsewhere = second.submit(QueryRequest("d", Query("mean", 1.4)))
+        before = len(client.calls)
+        refused = first.submit(QueryRequest("d", Query("iqr", 0.5)))
+        assert client.calls[before:] == ["reserve"]
+        assert refused.status == "refused"
+        assert refused.remaining == spent_elsewhere.remaining < 0.5
+        assert first_manager.reported_remaining == refused.remaining

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import socket
+import struct
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -264,7 +266,9 @@ class _RawShard:
     ``mode="stall"`` answers the first request, then reads every later one
     and never answers it (a slow cold query, as the router sees it).
     ``mode="close"`` answers every request and then hangs up, so the
-    router's pooled connection is stale by its next use.
+    router's pooled connection is stale by its next use.  ``mode="cut"``
+    answers the first request, then sends only the status line of every
+    later answer and resets the connection.
     """
 
     RESPONSE = (
@@ -317,6 +321,13 @@ class _RawShard:
                 if self.mode == "stall" and not first:
                     self._done.wait()
                     return
+                if self.mode == "cut" and not first:
+                    connection.sendall(self.RESPONSE.split(b"\r\n")[0] + b"\r\n")
+                    time.sleep(0.2)
+                    connection.setsockopt(
+                        socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                    )
+                    return
                 connection.sendall(self.RESPONSE)
                 if self.mode == "close":
                     return
@@ -337,6 +348,20 @@ class TestShardRetry:
             # answers.  It already has the request, so retrying it on a
             # fresh connection could execute (and spend) it twice.
             with pytest.raises(ShardUnavailable, match="timed out"):
+                endpoint.request("POST", "/query", b"{}")
+            assert shard.requests == 2
+        finally:
+            endpoint.close()
+            shard.close()
+
+    def test_reset_after_a_response_byte_is_not_replayed(self):
+        shard = _RawShard("cut")
+        endpoint = ShardEndpoint(0, "127.0.0.1", shard.port, timeout=5.0)
+        try:
+            assert endpoint.request("POST", "/query", b"{}") == (200, b"{}")
+            # The reused connection failed after the status line: the shard
+            # has the request, so it is a 503, not a second execution.
+            with pytest.raises(ShardUnavailable):
                 endpoint.request("POST", "/query", b"{}")
             assert shard.requests == 2
         finally:

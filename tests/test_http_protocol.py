@@ -14,14 +14,18 @@ from __future__ import annotations
 
 import http.client
 import json
+import resource
 import socket
+import struct
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.cluster.router import ShardEndpoint, make_router, serve_router
-from repro.obs import TraceRecorder
+from repro.obs import AuditLog, TraceRecorder
 from repro.service import AsyncServerThread, QueryService, make_server, serve_forever
 from repro.service import LimitSpec, RateLimiter, RateLimits
 from repro.service import httphead, wire
@@ -48,11 +52,12 @@ def _threaded(service, **kwargs):
     return server.server_address[:2], stop
 
 
-def _service_door(kind, **kwargs):
+def _service_door(kind, service=None, **kwargs):
     """``(address, stop)`` of a running threaded or async service door."""
+    service = service if service is not None else _service()
     if kind == "threaded":
-        return _threaded(_service(), **kwargs)
-    runner = AsyncServerThread(_service(), quiet=True, max_body=MAX_BODY, **kwargs).start()
+        return _threaded(service, **kwargs)
+    runner = AsyncServerThread(service, quiet=True, max_body=MAX_BODY, **kwargs).start()
     return runner.server.server_address, runner.stop
 
 
@@ -70,19 +75,27 @@ def _routed(shards):
     return router.server_address[:2], stop
 
 
-@pytest.fixture(params=["threaded", "async", "router"])
+DOORS = ["threaded", "async", "router"]
+
+
+def _open_door(kind, service):
+    """``(address, stop)`` of a running door over ``service`` (the router's shard)."""
+    if kind != "router":
+        return _service_door(kind, service)
+    shard_address, stop_shard = _threaded(service)
+    address, stop_router = _routed([ShardEndpoint(0, *shard_address)])
+
+    def stop():
+        stop_router()
+        stop_shard()
+
+    return address, stop
+
+
+@pytest.fixture(params=DOORS)
 def door(request):
     """A running front door: ``address`` to dial, ``stop()`` when done."""
-    if request.param != "router":
-        address, stop = _service_door(request.param)
-    else:
-        shard_address, stop_shard = _threaded(_service())
-        address, stop_router = _routed([ShardEndpoint(0, *shard_address)])
-
-        def stop():
-            stop_router()
-            stop_shard()
-
+    address, stop = _open_door(request.param, _service())
     yield SimpleNamespace(kind=request.param, address=address)
     stop()
 
@@ -154,6 +167,11 @@ class TestFramingRefusals:
 
     def test_64k_header_line_is_431(self, door):
         data = b"GET /health HTTP/1.1\r\nX-Big: " + b"a" * httphead.MAX_LINE + b"\r\n\r\n"
+        _assert_framing_refusal(*_exchange(door.address, data), 431)
+
+    def test_64k_header_line_is_431_before_the_head_ends(self, door):
+        """No door waits for the blank line to refuse an over-long line."""
+        data = b"GET /health HTTP/1.1\r\nX-Big: " + b"a" * httphead.MAX_LINE + b"\r\nX-After: v\r\n"
         _assert_framing_refusal(*_exchange(door.address, data), 431)
 
     def test_obs_fold_continuation_line_is_400(self, door):
@@ -299,6 +317,154 @@ class TestExpectContinue:
         ((code, headers, body),), closed = _exchange(door.address, head)
         assert code == 413 and headers["connection"] == "close" and closed
         assert json.loads(body)["error"]["code"] == "payload_too_large"
+
+
+class TestFraming:
+    """Requests framed however their bytes are cut into segments."""
+
+    def test_head_and_body_one_byte_per_send(self, door):
+        data = _post(QUERY, "Connection: close")
+        with socket.create_connection(door.address, timeout=10) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for offset in range(len(data)):
+                sock.sendall(data[offset:offset + 1])
+                time.sleep(0.001)
+            code, _, body = _read_response(sock.makefile("rb"))
+        assert code == 200 and json.loads(body)["status"] == "ok"
+
+    def test_pipelined_pair_with_the_second_body_split(self, door):
+        second = _post(QUERY, "X-Repro-Trace-Id: split-2")
+        cut = len(second) - len(QUERY) // 2
+        with socket.create_connection(door.address, timeout=10) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.sendall(_post(QUERY) + second[:cut])
+            time.sleep(0.2)
+            sock.sendall(second[cut:])
+            reader = sock.makefile("rb")
+            responses = [_read_response(reader) for _ in range(2)]
+        assert [code for code, _, _ in responses] == [200, 200]
+        first, repeat = (json.loads(body) for _, _, body in responses)
+        assert repeat["cached"] and repeat["value"] == first["value"]
+        assert repeat["trace"] == "split-2"
+
+    def test_pipelined_pair_then_half_close_answers_both(self, door):
+        """A client that sends a cold query and a second request, then shuts
+        its write side, still reads both answers before the close."""
+        health = b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n"
+        with socket.create_connection(door.address, timeout=10) as sock:
+            sock.sendall(_post() + health)
+            sock.shutdown(socket.SHUT_WR)
+            reader = sock.makefile("rb")
+            responses = [_read_response(reader) for _ in range(2)]
+            assert reader.read(1) == b""
+        assert [code for code, _, _ in responses] == [200, 200]
+        assert json.loads(responses[0][2])["status"] == "ok"
+
+    def test_body_sent_only_after_100_continue(self, door):
+        head = _post(b"", "Expect: 100-continue", f"Content-Length: {len(QUERY)}")
+        with socket.create_connection(door.address, timeout=10) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.sendall(head)
+            reader = sock.makefile("rb")
+            assert reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert reader.readline() == b"\r\n"
+            sock.sendall(QUERY[:7])
+            time.sleep(0.2)
+            # One interim response per request, however the body arrives;
+            # the next request expects nothing and gets none.
+            sock.sendall(QUERY[7:] + b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n")
+            (code, _, body), (health, _, _) = (_read_response(reader) for _ in range(2))
+        assert code == 200 and json.loads(body)["status"] == "ok"
+        assert health == 200
+
+
+def _frontend_counter(address, name: str) -> int:
+    probe = b"GET /datasets HTTP/1.1\r\nConnection: close\r\n\r\n"
+    ((_, _, body),), _ = _exchange(address, probe)
+    return json.loads(body)["frontend"][name]
+
+
+def _audited(path, event: str) -> int:
+    lines = path.read_text().splitlines()
+    return sum(json.loads(line)["event"] == event for line in lines)
+
+
+@pytest.mark.parametrize("kind", DOORS)
+def test_hang_up_during_a_deferred_cold_query(kind, tmp_path, monkeypatch):
+    """The query commits and is audited once, the hang-up is counted, and
+    another connection is answered while the query runs."""
+    started, release = threading.Event(), threading.Event()
+    submit = QueryService.submit
+
+    def held(self, request, **kwargs):
+        started.set()
+        release.wait(10)
+        return submit(self, request, **kwargs)
+
+    monkeypatch.setattr(QueryService, "submit", held)
+    service = QueryService(seed=5, audit=AuditLog(tmp_path / "audit.jsonl"))
+    service.register("d", np.random.default_rng(4).normal(10.0, 2.0, 2_000), 5.0)
+    address, stop = _open_door(kind, service)
+    try:
+        sock = socket.create_connection(address, timeout=10)
+        sock.sendall(_post())
+        assert started.wait(10)
+        # Hang up abortively: the reset reaches the server at once.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+        ((code, _, _),), _ = _exchange(address, b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n")
+        assert code == 200 and not release.is_set()
+        release.set()
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline and not (
+            _frontend_counter(address, "disconnects") >= 1
+            and len(service.registry.get("d").budget.ledger) == 1
+        ):
+            time.sleep(0.05)
+        assert _frontend_counter(address, "disconnects") == 1
+        assert len(service.registry.get("d").budget.ledger) == 1
+        assert _audited(tmp_path / "audit.jsonl", "commit") == 1
+    finally:
+        release.set()
+        stop()
+        service.audit.close()
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def test_pipelining_client_that_never_reads_is_bounded(door):
+    """The door stops reading once its answers back up: a client that
+    pipelines without reading stalls, and server memory stays flat."""
+    request = b"GET /kinds HTTP/1.1\r\nHost: x\r\nX-Pad: " + b"p" * 1000 + b"\r\n\r\n"
+    chunk = request * 16  # each answer is the ~6 KB catalogue
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
+    sock.connect(door.address)
+    sock.setblocking(False)
+    baseline = _peak_rss_mb()
+    progressed = time.monotonic()
+    deadline = progressed + 10
+    try:
+        while time.monotonic() < deadline:
+            try:
+                sock.send(chunk)
+                progressed = time.monotonic()
+            except BlockingIOError:
+                if time.monotonic() - progressed > 1.0:
+                    break  # the door stopped reading for good
+                time.sleep(0.01)
+            assert _peak_rss_mb() - baseline < 64, "the door buffers unread answers"
+        else:
+            pytest.fail("the door kept reading requests whose answers go unread")
+        # Everyone else is still served.
+        ((code, _, _),), _ = _exchange(door.address, b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n")
+        assert code == 200
+    finally:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
 
 
 class _InProcessShard(ShardEndpoint):

@@ -453,10 +453,10 @@ class TestFrontEndContainment:
         findings = run_rule(
             FrontEndContainmentRule(),
             """\
-            class Server:
-                async def _handle_connection(self, reader, writer):
-                    data = await reader.read()
-                    writer.write(data)
+            class Connection:
+                def _serve(self):
+                    head = self._frame()
+                    self._answer(head)
             """,
             display="src/repro/service/aio.py",
         )

@@ -311,6 +311,41 @@ class TestAsyncStalledClients:
             status, doc = _call(runner.url, "/health")
             assert status == 200 and doc["status"] == "ok"
 
+    def test_unread_closing_answer_is_cut_off(self):
+        """A ``Connection: close`` answer the client never reads does not
+        hold its connection open: the keep-alive timeout aborts and counts it."""
+        service = _make_service()
+        for index in range(1000):  # a GET /datasets answer of ~340 KB
+            service.register(f"pad{index}", np.arange(100.0), 5.0)
+        with AsyncServerThread(
+            service, port=0, quiet=True, keepalive_timeout=0.5
+        ) as runner:
+            # Accepted sockets inherit a small send buffer (no autotuning),
+            # so most of the answer waits in the transport, not the kernel.
+            listener = runner.server._server.sockets[0]
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect(runner.server.server_address)
+            sock.sendall(b"GET /datasets HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+            deadline = time.time() + 5.0
+            while time.time() < deadline and runner.server.disconnects < 1:
+                time.sleep(0.05)
+            assert runner.server.disconnects == 1
+            # The rest of the answer was dropped, not kept for a late reader.
+            sock.settimeout(5)
+            received = b""
+            try:
+                while chunk := sock.recv(65536):
+                    received += chunk
+            except ConnectionResetError:
+                pass
+            sock.close()
+            length = int(received.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+            assert len(received) < length
+            status, doc = _call(runner.url, "/health")
+            assert status == 200 and doc["status"] == "ok"
+
 
 _OPEN_CONNECTION_AT_STOP = textwrap.dedent(
     """

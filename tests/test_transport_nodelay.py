@@ -5,7 +5,7 @@ client's delayed ACK (about 40 ms) when Nagle is on.  Rather than assert a
 latency floor, which would be timing-dependent, these tests read
 ``TCP_NODELAY`` off the accepted socket itself: the threaded front-end and
 the router through their handler's ``setup``, the async front-end through
-``_handle_connection``.
+its connection protocol's ``connection_made``.
 """
 
 from __future__ import annotations
@@ -97,13 +97,13 @@ def test_router_accepts_with_nodelay(seen_by_handler):
 
 def test_async_front_end_accepts_with_nodelay(monkeypatch):
     seen = []
-    original = aio_module.AsyncServiceServer._handle_connection
+    original = aio_module._Connection.connection_made
 
-    async def handle(self, reader, writer):
-        seen.append(_nodelay(writer.get_extra_info("socket")))
-        await original(self, reader, writer)
+    def connection_made(self, transport):
+        seen.append(_nodelay(transport.get_extra_info("socket")))
+        original(self, transport)
 
-    monkeypatch.setattr(aio_module.AsyncServiceServer, "_handle_connection", handle)
+    monkeypatch.setattr(aio_module._Connection, "connection_made", connection_made)
     with AsyncServerThread(_service(), quiet=True) as runner:
         assert _get(runner.url) == 200
     assert seen == [True]
